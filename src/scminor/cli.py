@@ -16,7 +16,7 @@ from collections.abc import Iterator
 
 from .graphs import CapacityError, Graph, Graph6Error, parse_graph6, write_graph6
 from .antimorphism import check_sachs, cycle_decomposition, find_antimorphism
-from .construction import build_plan, realize_minor
+from .construction import build_plan, guaranteed_minor, realize_minor
 from .generators import (
     ENUMERATION_SIZES,
     LARGE_ENUMERATION_SIZES,
@@ -26,7 +26,7 @@ from .generators import (
     sharp_4n_plus_1,
 )
 from .oracle import DEFAULT_BUDGET, hadwiger
-from .topology import CERTIFICATE, INDETERMINATE, report
+from .topology import APEX_CAP, CERTIFICATE, INDETERMINATE, NONE_FOUND, report
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -69,19 +69,18 @@ def _emit(payload: dict, plain: str, as_json: bool) -> None:
 
 
 def _resolve_budget(args: argparse.Namespace) -> int:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    raw = os.environ.get("SCMINOR_BUDGET")
-    if raw:
+    budget = args.budget
+    if budget is None:
+        raw = os.environ.get("SCMINOR_BUDGET")
+        if not raw:
+            return DEFAULT_BUDGET
         try:
-            return int(raw)
+            budget = int(raw)
         except ValueError as exc:
             raise _InputError(0, f"SCMINOR_BUDGET must be an integer, got {raw!r}") from exc
-    return DEFAULT_BUDGET
-
-
-def _model_dict(model) -> dict:
-    return {"k": model.k, "branch_sets": [sorted(s) for s in model.branch_sets]}
+    if budget <= 0:
+        raise _InputError(0, f"budget must be positive, got {budget}")
+    return budget
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -126,28 +125,23 @@ def cmd_minor(args: argparse.Namespace) -> int:
             continue
         plan = build_plan(g, rho)
         model = realize_minor(g, plan)
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "self_complementary": True,
-                        "rho": rho.cycle_notation(),
-                        "model": _model_dict(model),
-                    }
-                )
+        notation = rho.cycle_notation()
+        lines = [f"rho={notation}"]
+        for part in plan.per_cycle:
+            cyc = " ".join(str(v) for v in part.cycle)
+            edges = " ".join(f"({u} {v})" for u, v in part.matching)
+            lines.append(
+                f"cycle ({cyc}): generator {part.generator}, "
+                f"shift {part.shift}, contract {edges}"
             )
-        else:
-            print(f"rho={rho.cycle_notation()}")
-            for part in plan.per_cycle:
-                cyc = " ".join(str(v) for v in part.cycle)
-                edges = " ".join(f"({u} {v})" for u, v in part.matching)
-                print(
-                    f"cycle ({cyc}): generator {part.generator}, "
-                    f"shift {part.shift}, contract {edges}"
-                )
-            if plan.fixed_vertex is not None:
-                print(f"fixed vertex: {plan.fixed_vertex}")
-            print(model.to_json())
+        if plan.fixed_vertex is not None:
+            lines.append(f"fixed vertex: {plan.fixed_vertex}")
+        lines.append(model.to_json())
+        _emit(
+            {"self_complementary": True, "rho": notation, "model": model.to_json_dict()},
+            "\n".join(lines),
+            args.json,
+        )
     return code
 
 
@@ -156,29 +150,27 @@ def cmd_hadwiger(args: argparse.Namespace) -> int:
     code = EXIT_OK
     for _, g in _iter_graphs(args.input):
         outcome = hadwiger(g, budget)
-        witness = None if outcome.witness is None else _model_dict(outcome.witness)
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "hadwiger": outcome.value,
-                        "exact": outcome.exact,
-                        "upper_bound": outcome.upper_bound,
-                        "expansions": outcome.expansions,
-                        "witness": witness,
-                    }
-                )
-            )
+        witness = outcome.witness
+        if outcome.exact:
+            plain = f"hadwiger: {outcome.value}"
         else:
-            if outcome.exact:
-                print(f"hadwiger: {outcome.value}")
-            else:
-                print(
-                    f"hadwiger: >= {outcome.value} (budget exhausted, "
-                    f"upper bound {outcome.upper_bound})"
-                )
-            if outcome.witness is not None:
-                print(f"witness: {outcome.witness.to_json()}")
+            plain = (
+                f"hadwiger: >= {outcome.value} (budget exhausted, "
+                f"upper bound {outcome.upper_bound})"
+            )
+        if witness is not None:
+            plain += f"\nwitness: {witness.to_json()}"
+        _emit(
+            {
+                "hadwiger": outcome.value,
+                "exact": outcome.exact,
+                "upper_bound": outcome.upper_bound,
+                "expansions": outcome.expansions,
+                "witness": None if witness is None else witness.to_json_dict(),
+            },
+            plain,
+            args.json,
+        )
         if not outcome.exact:
             code = EXIT_BUDGET
     return code
@@ -211,33 +203,33 @@ def cmd_enum(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _cert_text(c) -> str:
+    if c.status == CERTIFICATE:
+        return c.target
+    return "none" if c.status == NONE_FOUND else c.status
+
+
 def cmd_topo(args: argparse.Namespace) -> int:
     budget = _resolve_budget(args)
-    if not 0 <= args.apex <= 3:
-        raise _InputError(0, f"--apex must be in 0..3, got {args.apex}")
+    if not 0 <= args.apex <= APEX_CAP:
+        raise _InputError(0, f"--apex must be in 0..{APEX_CAP}, got {args.apex}")
     apex_range = tuple(range(args.apex + 1))
     code = EXIT_OK
     for _, g in _iter_graphs(args.input):
         rep = report(g, apex_range=apex_range, budget=budget)
-        if args.json:
-            print(json.dumps(rep.to_json_dict()))
-        else:
-            def cert_text(c) -> str:
-                if c.status == CERTIFICATE:
-                    return c.target
-                return "none" if c.status == "none_found" else c.status
-
-            apex_text = " ".join(
-                f"apex{j}={'yes' if v else 'no'}"
-                for j, v in sorted(rep.apex_numbers.items())
-            )
-            print(
-                f"outerplanar={'yes' if rep.outerplanar else 'no'} "
-                f"planar={'yes' if rep.planar else 'no'} "
-                f"il={cert_text(rep.il_certificate)} "
-                f"ik={cert_text(rep.ik_certificate)} "
-                f"{apex_text}"
-            )
+        apex_text = " ".join(
+            f"apex{j}={'yes' if v else 'no'}"
+            for j, v in sorted(rep.apex_numbers.items())
+        )
+        _emit(
+            rep.to_json_dict(),
+            f"outerplanar={'yes' if rep.outerplanar else 'no'} "
+            f"planar={'yes' if rep.planar else 'no'} "
+            f"il={_cert_text(rep.il_certificate)} "
+            f"ik={_cert_text(rep.ik_certificate)} "
+            f"{apex_text}",
+            args.json,
+        )
         if INDETERMINATE in (rep.il_certificate.status, rep.ik_certificate.status):
             code = EXIT_BUDGET
     return code
@@ -255,16 +247,7 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
             f"supported sizes: {ENUMERATION_SIZES + LARGE_ENUMERATION_SIZES}",
         )
     order = (n + 1) // 2
-    verified = 0
-    for g in graphs:
-        rho = find_antimorphism(g)
-        if rho is None:
-            continue
-        if not check_sachs(cycle_decomposition(rho), n).ok:
-            continue
-        model = realize_minor(g, build_plan(g, rho))
-        if model.k == order:
-            verified += 1
+    verified = sum(1 for g in graphs if guaranteed_minor(g) is not None)
     ok = verified == len(graphs)
     _emit(
         {

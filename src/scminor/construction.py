@@ -21,6 +21,7 @@ from .graphs import Graph, ConsistencyError, mask_is_connected
 from .generators import complete_graph
 from .antimorphism import (
     Permutation,
+    _validate_cycle,
     check_sachs,
     cycle_decomposition,
     find_antimorphism,
@@ -71,10 +72,12 @@ class MinorModel:
     def k(self) -> int:
         return len(self.branch_sets)
 
+    def to_json_dict(self) -> dict:
+        """The one JSON shape of a witness: its order k and its sorted branch sets."""
+        return {"k": self.k, "branch_sets": [sorted(s) for s in self.branch_sets]}
+
     def to_json(self) -> str:
-        return json.dumps(
-            {"k": self.k, "branch_sets": [sorted(s) for s in self.branch_sets]}
-        )
+        return json.dumps(self.to_json_dict())
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,7 @@ def choose_generator(g: Graph, rho: Permutation, cycle: Sequence[int]) -> int:
     of its two cycle neighbours; in particular such an a always exists, and a
     miss means the permutation was not a valid antimorphism.
     """
-    cyc = _closed_cycle(rho, cycle)
+    cyc = _validate_cycle(rho, cycle)
     for a in sorted(cyc):
         if g.has_edge(a, rho(a)):
             return a
@@ -135,33 +138,29 @@ def choose_generator(g: Graph, rho: Permutation, cycle: Sequence[int]) -> int:
     )
 
 
-def _closed_cycle(rho: Permutation, cycle: Sequence[int]) -> tuple[int, ...]:
-    cyc = tuple(cycle)
-    if not cyc:
-        raise ValueError("empty cycle")
-    for i, v in enumerate(cyc):
-        if rho(v) != cyc[(i + 1) % len(cyc)]:
-            raise ValueError(f"{cyc!r} is not closed under the permutation")
-    return cyc
+def _shift_pairs(
+    g: Graph, seq: Sequence[int], shift: int
+) -> tuple[tuple[int, int], ...]:
+    """The pairs {seq[2i], seq[2i+shift]} around ``seq``, each checked to be an edge."""
+    n = len(seq)
+    pairs = tuple((seq[2 * i], seq[(2 * i + shift) % n]) for i in range(n // 2))
+    for u, v in pairs:
+        if not g.has_edge(u, v):
+            raise ConsistencyError(
+                f"claimed matching edge ({u}, {v}) is absent for shift {shift}; "
+                "even powers of an antimorphism must preserve edges"
+            )
+    return pairs
 
 
 def cycle_matching(
     g: Graph, rho: Permutation, cycle: Sequence[int]
 ) -> tuple[tuple[int, int], ...]:
     """The 2m contraction edges {rho^(2i)(a), rho^(2i+1)(a)} of a 4m-cycle."""
-    cyc = _closed_cycle(rho, cycle)
+    cyc = _validate_cycle(rho, cycle)
     if len(cyc) % 4 != 0:
         raise ValueError(f"cycle length {len(cyc)} is not divisible by 4")
-    a = choose_generator(g, rho, cyc)
-    seq = rho.orbit(a)
-    pairs = tuple((seq[2 * i], seq[2 * i + 1]) for i in range(len(seq) // 2))
-    for u, v in pairs:
-        if not g.has_edge(u, v):
-            raise ConsistencyError(
-                f"claimed matching edge ({u}, {v}) is absent; even powers of an "
-                "antimorphism must preserve edges"
-            )
-    return pairs
+    return _shift_pairs(g, rho.orbit(choose_generator(g, rho, cyc)), 1)
 
 
 def odd_shift_matching(
@@ -188,15 +187,7 @@ def odd_shift_matching(
             t for t in range(1, n, 2) if g.has_edge(a, seq[t])
         )
         raise InvalidShiftError(shift, valid)
-    pairs = tuple(
-        (seq[2 * i], seq[(2 * i + shift) % n]) for i in range(n // 2)
-    )
-    for u, v in pairs:
-        if not g.has_edge(u, v):
-            raise ConsistencyError(
-                f"claimed matching edge ({u}, {v}) is absent for shift {shift}"
-            )
-    return pairs
+    return _shift_pairs(g, seq, shift)
 
 
 def build_plan(g: Graph, rho: Permutation) -> ContractionPlan:
@@ -210,9 +201,8 @@ def build_plan(g: Graph, rho: Permutation) -> ContractionPlan:
     parts = []
     for cyc in dec.cycles:
         matching = cycle_matching(g, rho, cyc)
-        parts.append(
-            CycleContraction(cyc, choose_generator(g, rho, cyc), 1, matching)
-        )
+        # The matching starts at the generator: rho.orbit(a) begins with a.
+        parts.append(CycleContraction(cyc, matching[0][0], 1, matching))
     fixed = dec.fixed_points[0] if dec.fixed_points else None
     return ContractionPlan(tuple(parts), fixed)
 

@@ -158,10 +158,6 @@ class OrbitAssignment:
     ) -> "OrbitAssignment":
         return cls(sigma, pair_orbits(sigma), choices)
 
-    @property
-    def orbit_reps(self) -> tuple[tuple[int, int], ...]:
-        return tuple(orbit[0] for orbit in self.orbits)
-
 
 def sc_from_assignment(assignment: OrbitAssignment) -> Graph:
     """Build the graph whose edges alternate along each pair orbit.

@@ -79,10 +79,6 @@ class Graph:
     # -- queries ----------------------------------------------------------
 
     @property
-    def vertices(self) -> range:
-        return range(self.n)
-
-    @property
     def num_edges(self) -> int:
         return sum(m.bit_count() for m in self._adj) // 2
 

@@ -57,15 +57,9 @@ class MinorOutcome:
     expansions: int
 
     def to_json_dict(self) -> dict:
-        witness = None
-        if self.model is not None:
-            witness = {
-                "k": self.model.k,
-                "branch_sets": [sorted(s) for s in self.model.branch_sets],
-            }
         return {
             "answer": self.answer,
-            "witness": witness,
+            "witness": None if self.model is None else self.model.to_json_dict(),
             "expansions": self.expansions,
         }
 

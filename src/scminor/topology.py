@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .graphs import Graph, ConsistencyError, induced_subgraph, join
+from .graphs import Graph, ConsistencyError, induced_subgraph
 from .antimorphism import find_antimorphism
 from .construction import (
     MinorModel,
@@ -72,8 +72,12 @@ def is_outerplanar(g: Graph) -> bool:
     """True iff g embeds with all vertices on the outer face.
 
     Equivalent to planarity of g with one extra vertex joined to all of g.
+    The apex is added to the networkx graph only, so a 64-vertex g works.
     """
-    return is_planar(join(g, Graph(1)))
+    h = _to_networkx(g)
+    h.add_edges_from((g.n, v) for v in range(g.n))
+    ok, _ = nx.check_planarity(h, counterexample=False)
+    return ok
 
 
 def _excluded_minor_witness(
@@ -115,10 +119,11 @@ def _complete_certificate(g: Graph, order: int, budget: int) -> CertificateSearc
 
     Self-complementary hosts large enough that the guaranteed minor already
     reaches ``order`` skip the oracle: the certificate is the first ``order``
-    branch sets of the constructed model.
+    branch sets of the constructed model.  Smaller hosts skip the
+    antimorphism search, whose answer they could not use.
     """
-    rho = find_antimorphism(g)
-    if rho is not None and (g.n + 1) // 2 >= order:
+    rho = find_antimorphism(g) if (g.n + 1) // 2 >= order else None
+    if rho is not None:
         model = realize_minor(g, build_plan(g, rho))
         trimmed = MinorModel(model.branch_sets[:order])
         check = verify_minor_model(g, trimmed, complete_graph(order))
@@ -181,12 +186,7 @@ class TopologyReport:
             return {
                 "status": c.status,
                 "target": c.target,
-                "model": None
-                if c.model is None
-                else {
-                    "k": c.model.k,
-                    "branch_sets": [sorted(s) for s in c.model.branch_sets],
-                },
+                "model": None if c.model is None else c.model.to_json_dict(),
             }
 
         return {

@@ -100,6 +100,19 @@ def test_budget_env_override(monkeypatch, capsys):
     assert code == 2 and "SCMINOR_BUDGET" in err
 
 
+@pytest.mark.parametrize("verb", ["hadwiger", "topo"])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_non_positive_budget_is_a_usage_error(verb, budget, monkeypatch, capsys):
+    code, out, err = run_cli([verb, "--budget", budget], "Dhc\n", monkeypatch, capsys)
+    assert code == 2 and out == ""
+    assert err == f"line 0: budget must be positive, got {budget}\n"
+
+    monkeypatch.setenv("SCMINOR_BUDGET", budget)
+    code, out, err = run_cli([verb], "Dhc\n", monkeypatch, capsys)
+    assert code == 2 and out == ""
+    assert err == f"line 0: budget must be positive, got {budget}\n"
+
+
 def test_gen_family(monkeypatch, capsys):
     code, out, _ = run_cli(["gen", "--family", "sharp4n", "--n", "2"], "", monkeypatch, capsys)
     assert code == 0

@@ -39,6 +39,13 @@ def test_is_outerplanar_fixed_cases():
     assert not is_outerplanar(complete_bipartite(2, 3))
 
 
+def test_is_outerplanar_at_the_vertex_cap():
+    path = [(v, v + 1) for v in range(63)]
+    assert is_outerplanar(Graph(64, path))
+    k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    assert not is_outerplanar(Graph(64, path + k4))
+
+
 def test_nonplanarity_witness():
     w = nonplanarity_witness(complete_graph(6))
     assert w.status == "certificate" and w.target == "K5"
