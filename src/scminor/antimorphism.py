@@ -136,10 +136,16 @@ def is_antimorphism(g: Graph, p: Permutation) -> bool:
 def find_antimorphism(g: Graph) -> Permutation | None:
     """Search for an antimorphism; None iff the graph is not self-complementary.
 
-    Backtracks over image assignments in vertex order with ascending
-    candidates, pruning by degree (deg(p(v)) must equal n-1-deg(v)) and by
-    pairwise consistency, so the returned image array is the
-    lexicographically least one.
+    Backtracks over image assignments in vertex order 0..n-1, keeping for
+    every unassigned vertex a bitmask domain of the images still possible.
+    A vertex v starts with the vertices of degree n-1-deg(v).  Assigning
+    v -> w forward-checks every later u: its domain keeps only non-neighbours
+    of w if u ~ v, and only neighbours of w otherwise.  Neither mask holds w,
+    so the images stay distinct, and a candidate that empties some domain is
+    skipped at once.  Candidates are tried in ascending order; forward
+    checking removes only candidates that no completion could use, so the
+    first full assignment, the returned image array, is the
+    lexicographically least antimorphism.
     """
     n = g.n
     if n % 4 in (2, 3):
@@ -149,31 +155,37 @@ def find_antimorphism(g: Graph) -> Permutation | None:
     if n <= 1:
         return Permutation(range(n))
     adj = g._adj
-    degrees = [adj[v].bit_count() for v in range(n)]
-    cands = [
-        [w for w in range(n) if degrees[w] == n - 1 - degrees[v]] for v in range(n)
-    ]
+    full = (1 << n) - 1
+    nonadj = [full & ~(a | (1 << w)) for w, a in enumerate(adj)]
+    by_degree: dict[int, int] = {}
+    for w, a in enumerate(adj):
+        d = a.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | (1 << w)
+    domains = [by_degree.get(n - 1 - a.bit_count(), 0) for a in adj]
+    # later[v][i] is 1 iff v ~ v+1+i: which mask filters that vertex's domain.
+    later = [[(adj[v] >> u) & 1 for u in range(v + 1, n)] for v in range(n)]
     image = [0] * n
-    used = [False] * n
 
-    def assign(v: int) -> bool:
-        av = adj[v]
-        for w in cands[v]:
-            if used[w]:
-                continue
-            aw = adj[w]
-            if any(((av >> u) & 1) == ((aw >> image[u]) & 1) for u in range(v)):
-                continue
+    def assign(v: int, doms: list[int]) -> bool:
+        # doms[i] is the domain of vertex v + i.
+        cand = doms[0]
+        rest = doms[1:]
+        flags = later[v]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            w = low.bit_length() - 1
             image[v] = w
-            if v + 1 == n:
+            if not rest:
                 return True
-            used[w] = True
-            if assign(v + 1):
+            aw = adj[w]
+            nw = nonadj[w]
+            nxt = [d & (nw if f else aw) for d, f in zip(rest, flags)]
+            if 0 not in nxt and assign(v + 1, nxt):
                 return True
-            used[w] = False
         return False
 
-    return Permutation(image) if assign(0) else None
+    return Permutation(image) if assign(0, domains) else None
 
 
 @dataclass(frozen=True)

@@ -41,17 +41,31 @@ class _InputError(Exception):
 
 
 def _iter_graphs(path: str) -> Iterator[tuple[int, Graph]]:
+    """Yield (line number, graph) per non-blank line, decoding line by line.
+
+    A file, or a real stdin, is read as bytes and each line is decoded on its
+    own, so the lines before a non-ASCII one are still answered and the bad
+    line is reported by number.  A text stream put in place of stdin is read
+    as it is.
+    """
     if path == "-":
-        stream = sys.stdin
+        stream = getattr(sys.stdin, "buffer", sys.stdin)
         close = False
     else:
         try:
-            stream = open(path, "r", encoding="ascii")
+            stream = open(path, "rb")
         except OSError as exc:
             raise _InputError(0, str(exc)) from exc
         close = True
     try:
-        for lineno, line in enumerate(stream, 1):
+        for lineno, raw in enumerate(stream, 1):
+            try:
+                line = raw.decode("ascii") if isinstance(raw, bytes) else raw
+            except UnicodeDecodeError as exc:
+                raise _InputError(
+                    lineno,
+                    f"non-ASCII byte 0x{raw[exc.start]:02x} at column {exc.start + 1}",
+                ) from exc
             line = line.strip()
             if not line:
                 continue
@@ -240,6 +254,8 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
     if n in ENUMERATION_SIZES:
         graphs = enumerate_sc(n)
     elif n in LARGE_ENUMERATION_SIZES:
+        if args.samples < 1:
+            raise _InputError(0, f"--samples must be positive, got {args.samples}")
         graphs = [random_sc(n, args.seed + i) for i in range(args.samples)]
     else:
         raise _InputError(

@@ -14,8 +14,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .graphs import Graph, ConsistencyError, induced_subgraph
 from .antimorphism import find_antimorphism
 from .construction import (
@@ -56,16 +54,25 @@ class CertificateSearch:
     expansions: int = 0
 
 
-def _to_networkx(g: Graph) -> nx.Graph:
+def _planar(g: Graph, apex: bool) -> bool:
+    """Planarity of g, with one extra vertex joined to all of g if ``apex``.
+
+    networkx is imported here rather than at module level, so the verbs
+    that never test planarity do not pay for loading it.
+    """
+    import networkx as nx
+
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges())
-    return h
+    if apex:
+        h.add_edges_from((g.n, v) for v in range(g.n))
+    ok, _ = nx.check_planarity(h, counterexample=False)
+    return ok
 
 
 def is_planar(g: Graph) -> bool:
-    ok, _ = nx.check_planarity(_to_networkx(g), counterexample=False)
-    return ok
+    return _planar(g, apex=False)
 
 
 def is_outerplanar(g: Graph) -> bool:
@@ -74,10 +81,7 @@ def is_outerplanar(g: Graph) -> bool:
     Equivalent to planarity of g with one extra vertex joined to all of g.
     The apex is added to the networkx graph only, so a 64-vertex g works.
     """
-    h = _to_networkx(g)
-    h.add_edges_from((g.n, v) for v in range(g.n))
-    ok, _ = nx.check_planarity(h, counterexample=False)
-    return ok
+    return _planar(g, apex=True)
 
 
 def _excluded_minor_witness(

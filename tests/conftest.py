@@ -1,9 +1,10 @@
 """Shared fixtures and independent test-side oracles.
 
 The checkers here deliberately avoid the library's own search machinery:
-isomorphism is a fresh backtracking search, and the reference Hadwiger
-number enumerates every partition of every vertex subset with no pruning,
-so agreement with the library is meaningful evidence.
+isomorphism and the least antimorphism are fresh backtracking searches
+without forward checking, and the reference Hadwiger number enumerates
+every partition of every vertex subset with no pruning, so agreement with
+the library is meaningful evidence.
 """
 
 from __future__ import annotations
@@ -66,6 +67,44 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
         return False
 
     return assign(0)
+
+
+def reference_antimorphism(g: Graph) -> tuple[int, ...] | None:
+    """Lexicographically least antimorphism image, or None, by plain backtracking.
+
+    Images are tried in vertex order with ascending candidates, filtered by
+    degree only and checked pairwise against every earlier vertex when
+    assigned; no domain is narrowed ahead of time.
+    """
+    n = g.n
+    if n % 4 in (2, 3) or 4 * g.num_edges != n * (n - 1):
+        return None
+    adj = [g.neighbor_mask(v) for v in range(n)]
+    degrees = [a.bit_count() for a in adj]
+    cands = [
+        [w for w in range(n) if degrees[w] == n - 1 - degrees[v]] for v in range(n)
+    ]
+    image = [0] * n
+    used = [False] * n
+
+    def assign(v: int) -> bool:
+        if v == n:
+            return True
+        av = adj[v]
+        for w in cands[v]:
+            if used[w]:
+                continue
+            aw = adj[w]
+            if any(((av >> u) & 1) == ((aw >> image[u]) & 1) for u in range(v)):
+                continue
+            image[v] = w
+            used[w] = True
+            if assign(v + 1):
+                return True
+            used[w] = False
+        return False
+
+    return tuple(image) if assign(0) else None
 
 
 @lru_cache(maxsize=None)

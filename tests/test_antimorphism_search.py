@@ -1,0 +1,142 @@
+"""The antimorphism search against a plain backtracking reference.
+
+``find_antimorphism`` narrows bitmask domains ahead of the assignment; the
+reference in conftest checks each candidate only against earlier vertices.
+Both try candidates in ascending order, so they must return the same least
+image array, on SC graphs and on graphs that pass every cheap filter.
+"""
+
+import random
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from scminor import Graph, find_antimorphism, random_sc
+
+from conftest import reference_antimorphism
+
+FEW = settings(max_examples=25, deadline=None)
+SC_SIZES = (4, 5, 8, 9, 12, 13, 16, 17)
+SMALL_SIZES = (4, 5, 8, 9, 12, 13)
+
+
+def relabel(g: Graph, perm) -> Graph:
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def shuffled(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return relabel(g, perm)
+
+
+def circulant(p: int, connection: set[int]) -> Graph:
+    return Graph(
+        p, [(i, (i + s) % p) for i in range(p) for s in connection if i < (i + s) % p]
+    )
+
+
+def quadratic_residues(q: int) -> set[int]:
+    return {x * x % q for x in range(1, q)}
+
+
+def paley(q: int) -> Graph:
+    return circulant(q, quadratic_residues(q))
+
+
+def turner_sc(p: int, connection: set[int]) -> bool:
+    """Multiplier criterion (Turner 1967): a circulant of prime order p is
+    self-complementary iff some unit m maps its connection set onto the
+    complementary one."""
+    rest = set(range(1, p)) - connection
+    return any({m * s % p for s in connection} == rest for m in range(2, p))
+
+
+def band(p: int, width: int) -> set[int]:
+    """Symmetric connection set {±1, ..., ±width}."""
+    return {s % p for d in range(1, width + 1) for s in (d, -d)}
+
+
+def assert_matches_reference(g: Graph) -> None:
+    rho = find_antimorphism(g)
+    want = reference_antimorphism(g)
+    assert (None if rho is None else rho.image) == want
+
+
+def edge_swapped(g: Graph, rng: random.Random, swaps: int) -> Graph:
+    """g after up to ``swaps`` degree-preserving double-edge swaps."""
+    edges = set(g.edges())
+    for _ in range(50 * swaps):
+        (a, b), (c, d) = rng.sample(sorted(edges), 2)
+        new1, new2 = tuple(sorted((a, d))), tuple(sorted((c, b)))
+        if len({a, b, c, d}) < 4 or new1 in edges or new2 in edges:
+            continue
+        edges -= {(a, b), (c, d)}
+        edges |= {new1, new2}
+        swaps -= 1
+        if swaps == 0:
+            break
+    return Graph(g.n, sorted(edges))
+
+
+@FEW
+@given(
+    st.sampled_from(SC_SIZES),
+    st.integers(0, 10**6),
+    st.randoms(use_true_random=False),
+)
+def test_least_image_on_relabelled_random_sc(n, seed, rng):
+    g = shuffled(random_sc(n, seed), rng.randrange(10**9))
+    assert_matches_reference(g)
+    again = shuffled(g, rng.randrange(10**9))
+    assert find_antimorphism(again) is not None
+
+
+@FEW
+@given(st.sampled_from((13, 17)), st.permutations(range(17)))
+def test_least_image_on_relabelled_paley(q, perm17):
+    perm = [v for v in perm17 if v < q]
+    g = relabel(paley(q), perm)
+    assert_matches_reference(g)
+    assert find_antimorphism(g) is not None
+
+
+@FEW
+@given(st.sampled_from(SMALL_SIZES), st.randoms(use_true_random=False))
+def test_same_verdict_on_graphs_with_sc_edge_count(n, rng):
+    pairs = list(combinations(range(n), 2))
+    g = Graph(n, rng.sample(pairs, n * (n - 1) // 4))
+    assert_matches_reference(g)
+    verdict = find_antimorphism(g) is not None
+    assert (find_antimorphism(shuffled(g, rng.randrange(10**9))) is not None) == verdict
+
+
+@FEW
+@given(
+    st.sampled_from(SMALL_SIZES),
+    st.integers(0, 10**6),
+    st.randoms(use_true_random=False),
+)
+def test_same_verdict_on_edge_swapped_sc(n, seed, rng):
+    g = edge_swapped(random_sc(n, seed), rng, swaps=3)
+    assert 4 * g.num_edges == n * (n - 1)
+    assert_matches_reference(g)
+    verdict = find_antimorphism(g) is not None
+    assert (find_antimorphism(shuffled(g, rng.randrange(10**9))) is not None) == verdict
+
+
+@pytest.mark.parametrize("p, width", [(29, 7), (37, 9)])
+def test_regular_non_sc_circulant_is_refuted(p, width):
+    connection = band(p, width)
+    assert len(connection) == (p - 1) // 2
+    assert not turner_sc(p, connection)
+    assert find_antimorphism(shuffled(circulant(p, connection), p)) is None
+
+
+@pytest.mark.parametrize("q", [37, 41, 53, 61])
+def test_large_paley_least_image(q):
+    assert turner_sc(q, quadratic_residues(q))
+    g = shuffled(paley(q), q)
+    assert_matches_reference(g)
+    assert find_antimorphism(g) is not None

@@ -53,6 +53,15 @@ def test_check_missing_file(monkeypatch, capsys):
     assert err
 
 
+def test_check_non_ascii_line_is_an_input_error(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "graphs.g6"
+    path.write_bytes(b"Ch\n\xc3\xa9\n")
+    code, out, err = run_cli(["check", str(path)], "", monkeypatch, capsys)
+    assert code == 2
+    assert out == "self-complementary: yes, rho=(0 1 3 2), sachs=ok\n"
+    assert err.startswith("line 2: ") and err.count("\n") == 1
+
+
 def test_minor_plain_and_json(monkeypatch, capsys):
     code, out, _ = run_cli(["minor"], "Ch\n", monkeypatch, capsys)
     assert code == 0
@@ -206,6 +215,16 @@ def test_verify_theorem_bad_n(monkeypatch, capsys):
     assert code == 2 and err
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_theorem_rejects_empty_sample(samples, monkeypatch, capsys):
+    code, out, err = run_cli(
+        ["verify-theorem", "--n", "13", "--samples", samples], "", monkeypatch, capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--samples" in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -227,3 +246,19 @@ def test_console_script_pipeline():
     )
     assert check.returncode == 0
     assert check.stdout.startswith("self-complementary: yes")
+
+
+def test_check_and_minor_do_not_import_networkx():
+    script = (
+        "import sys\n"
+        "import scminor.cli\n"
+        "assert 'networkx' not in sys.modules\n"
+        "code = scminor.cli.main(['topo', '--apex', '0'])\n"
+        "assert 'networkx' in sys.modules\n"
+        "sys.exit(code)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script], input="Ch\n", capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("outerplanar=yes planar=yes ")
