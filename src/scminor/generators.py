@@ -8,11 +8,19 @@ cycle lengths divisible by 4, one fixed point iff n = 4k + 1) makes every
 orbit even, so any choice of one bit per orbit yields a graph with sigma as
 an antimorphism.  Enumerating one representative permutation per cycle type
 and all 2^orbits bit choices covers every isomorphism class.
+
+Relabelling by a permutation that commutes with sigma keeps sigma as an
+antimorphism, so the centraliser of sigma acts on the bit choices and every
+choice in one of its orbits builds an isomorphic graph.  Enumeration
+therefore builds and canonicalises only the least choice of each orbit
+(orderly generation in the sense of Read, "Every one a winner", Ann.
+Discrete Math. 2, 1978).
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .graphs import Graph, canonical_form
@@ -184,13 +192,89 @@ def sc_from_assignment(assignment: OrbitAssignment) -> Graph:
     return g
 
 
+def _centraliser_generators(
+    sigma: Permutation, cycle_lengths: tuple[int, ...]
+) -> list[Permutation]:
+    """Generators of the centraliser of sigma, the permutation that
+    ``permutation_with_cycle_type`` builds for ``cycle_lengths``.
+
+    One rotation per cycle (sigma on that cycle, the identity elsewhere) and
+    one swap per two consecutive cycles of equal length; the fixed point
+    stays put.
+    """
+    n = sigma.n
+    starts = [sum(cycle_lengths[:i]) for i in range(len(cycle_lengths))]
+    gens = []
+    for start, length in zip(starts, cycle_lengths):
+        image = list(range(n))
+        image[start : start + length] = sigma.image[start : start + length]
+        gens.append(Permutation(image))
+    for i in range(len(cycle_lengths) - 1):
+        length = cycle_lengths[i]
+        if cycle_lengths[i + 1] != length:
+            continue
+        image = list(range(n))
+        for t in range(length):
+            a, b = starts[i] + t, starts[i + 1] + t
+            image[a], image[b] = b, a
+        gens.append(Permutation(image))
+    return gens
+
+
+def _bit_action(
+    orbits: tuple[tuple[tuple[int, int], ...], ...], pi: Permutation
+) -> Callable[[int], int]:
+    """The map on choice bits that relabelling by ``pi`` induces.
+
+    ``pi`` must commute with the sigma behind ``orbits``.  It then carries
+    orbit o onto one orbit t, and the bit moves from o to t, flipped when
+    pi maps o's representative to an odd index of t.  The map is linear
+    over GF(2) plus a constant, so it is applied by one table lookup per
+    byte of the bits.
+    """
+    where = {
+        pair: (o, idx) for o, orbit in enumerate(orbits) for idx, pair in enumerate(orbit)
+    }
+    images = []
+    flip = 0
+    for orbit in orbits:
+        a, b = pi(orbit[0][0]), pi(orbit[0][1])
+        target, idx = where[(a, b) if a < b else (b, a)]
+        images.append(1 << target)
+        if idx % 2:
+            flip |= 1 << target
+    tables = []
+    for lo in range(0, len(images), 8):
+        chunk = images[lo : lo + 8]
+        table = [0] * (1 << len(chunk))
+        for v in range(1, len(table)):
+            low = (v & -v).bit_length() - 1
+            table[v] = table[v & (v - 1)] ^ chunk[low]
+        tables.append(table)
+
+    def act(bits: int) -> int:
+        out = flip
+        for table in tables:
+            out ^= table[bits & 0xFF]
+            bits >>= 8
+        return out
+
+    return act
+
+
 def enumerate_sc(n: int, allow_large: bool = False) -> list[Graph]:
     """One representative per isomorphism class of self-complementary graphs.
 
     Supported sizes are 1, 4, 5, 8, 9 (and 12, 13 when ``allow_large`` is
-    set; those take noticeably longer).  Output order is deterministic:
-    cycle types largest-first, orbit choice bits counting up, first
-    representative of each class kept.
+    set; n = 12 takes seconds, n = 13 minutes).  Output order is
+    deterministic: cycle types largest-first, orbit choice bits counting up,
+    first representative of each class kept.
+
+    Choice bits are swept upward.  The first unvisited one is the least of
+    its centraliser orbit: the orbit is marked visited and only that one
+    assignment is built and canonicalised.  The first assignment of each new
+    class is always such a least element, so the list is the one that
+    canonicalising every assignment would give.
     """
     if n in LARGE_ENUMERATION_SIZES and not allow_large:
         raise ValueError(
@@ -206,7 +290,22 @@ def enumerate_sc(n: int, allow_large: bool = False) -> list[Graph]:
     for cycle_type in sachs_cycle_types(n):
         sigma = permutation_with_cycle_type(n, cycle_type)
         orbits = pair_orbits(sigma)
-        for bits in range(1 << len(orbits)):
+        actions = [
+            _bit_action(orbits, pi) for pi in _centraliser_generators(sigma, cycle_type)
+        ]
+        visited = bytearray(1 << len(orbits))
+        for bits in range(len(visited)):
+            if visited[bits]:
+                continue
+            visited[bits] = 1
+            stack = [bits]
+            while stack:
+                b = stack.pop()
+                for act in actions:
+                    c = act(b)
+                    if not visited[c]:
+                        visited[c] = 1
+                        stack.append(c)
             choices = tuple(bool((bits >> i) & 1) for i in range(len(orbits)))
             g = sc_from_assignment(OrbitAssignment(sigma, orbits, choices))
             key = canonical_form(g)

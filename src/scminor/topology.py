@@ -19,6 +19,7 @@ from .antimorphism import find_antimorphism
 from .construction import (
     MinorModel,
     build_plan,
+    guaranteed_minor,
     realize_minor,
     verify_minor_model,
 )
@@ -158,16 +159,20 @@ def ik_certificate(g: Graph, budget: int = DEFAULT_BUDGET) -> CertificateSearch:
     return _complete_certificate(g, 7, budget)
 
 
+def _check_apex_parameter(j: int) -> None:
+    if j < 0:
+        raise ValueError(f"apex parameter must be >= 0, got {j}")
+    if j > APEX_CAP:
+        raise ValueError(f"apex search is capped at j <= {APEX_CAP}, got {j}")
+
+
 def is_n_apex(g: Graph, j: int) -> tuple[bool, frozenset[int] | None]:
     """Can deleting at most j vertices make g planar?
 
     Returns the first (smallest, then lexicographically least) working
     deletion set as a witness.  j = 0 is exactly a planarity test.
     """
-    if j < 0:
-        raise ValueError(f"apex parameter must be >= 0, got {j}")
-    if j > APEX_CAP:
-        raise ValueError(f"apex search is capped at j <= {APEX_CAP}, got {j}")
+    _check_apex_parameter(j)
     for size in range(min(j, g.n) + 1):
         for combo in itertools.combinations(range(g.n), size):
             keep = [v for v in range(g.n) if v not in combo]
@@ -207,7 +212,18 @@ def report(
     apex_range: tuple[int, ...] = (0, 1, 2),
     budget: int = DEFAULT_BUDGET,
 ) -> TopologyReport:
-    """Aggregate the topology predicates and re-check their consistency."""
+    """Aggregate the topology predicates and re-check their consistency.
+
+    A K_t minor with t >= 5 + j proves that g is not j-apex: deleting j
+    vertices removes at most j branch sets, so a K5 minor survives.  The
+    largest verified IL/IK certificate settles such j with no search.  If
+    the largest open j is still small enough, a self-complementary g
+    settles it with its constructive minor of order floor((n+1)/2).  What
+    is left is answered by one apex search at the largest open j: its
+    deletion set is a smallest one, so it answers every smaller j too.
+    """
+    for j in apex_range:
+        _check_apex_parameter(j)
     outer = is_outerplanar(g)
     planar = is_planar(g)
     if outer and not planar:
@@ -216,7 +232,15 @@ def report(
     ik = ik_certificate(g, budget)
     if ik.status == CERTIFICATE and il.status == NONE_FOUND:
         raise ConsistencyError("complete minor of order 7 without one of order 6")
-    apex = {j: is_n_apex(g, j)[0] for j in apex_range}
+    t = max((c.model.k for c in (il, ik) if c.status == CERTIFICATE), default=0)
+    top = max((j for j in apex_range if t < 5 + j), default=None)
+    if top is not None and (g.n + 1) // 2 >= 5 + top and guaranteed_minor(g) is not None:
+        top = None
+    if top is None:
+        apex = {j: False for j in apex_range}
+    else:
+        found, deleted = is_n_apex(g, top)
+        apex = {j: t < 5 + j and found and len(deleted) <= j for j in apex_range}
     for j, val in apex.items():
         if j == 0 and val != planar:
             raise ConsistencyError("0-apex answer disagrees with planarity")

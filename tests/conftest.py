@@ -13,7 +13,17 @@ import random
 from functools import lru_cache
 from itertools import combinations
 
-from scminor import Graph, canonical_form, enumerate_sc, random_sc
+from scminor import (
+    Graph,
+    OrbitAssignment,
+    canonical_form,
+    enumerate_sc,
+    pair_orbits,
+    permutation_with_cycle_type,
+    random_sc,
+    sachs_cycle_types,
+    sc_from_assignment,
+)
 
 
 @lru_cache(maxsize=None)
@@ -105,6 +115,24 @@ def reference_antimorphism(g: Graph) -> tuple[int, ...] | None:
         return False
 
     return tuple(image) if assign(0) else None
+
+
+def reference_enumerate_sc(n: int) -> list[Graph]:
+    """Every orbit assignment of every cycle type built and canonicalised,
+    in enumeration order, keeping the first graph of each class."""
+    seen: set[bytes] = set()
+    out: list[Graph] = []
+    for cycle_type in sachs_cycle_types(n):
+        sigma = permutation_with_cycle_type(n, cycle_type)
+        orbits = pair_orbits(sigma)
+        for bits in range(1 << len(orbits)):
+            choices = tuple(bool((bits >> i) & 1) for i in range(len(orbits)))
+            g = sc_from_assignment(OrbitAssignment(sigma, orbits, choices))
+            key = canonical_form(g)
+            if key not in seen:
+                seen.add(key)
+                out.append(g)
+    return out
 
 
 @lru_cache(maxsize=None)

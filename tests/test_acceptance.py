@@ -13,6 +13,7 @@ from scminor import (
     complete_graph,
     cycle_decomposition,
     cycle_graph,
+    enumerate_sc,
     find_antimorphism,
     guaranteed_minor,
     hadwiger,
@@ -59,7 +60,8 @@ def test_criterion_1_enumeration_counts():
                 classes.add(canonical_form(g))
         assert len(classes) == expected[n]
         assert classes == {canonical_form(g) for g in sc_classes(n)}
-    _report(1, "class counts 1/1/2/10/36 at n=1/4/5/8/9; n=4,5 brute-forced")
+    assert len(enumerate_sc(12, allow_large=True)) == 720
+    _report(1, "class counts 1/1/2/10/36/720 at n=1/4/5/8/9/12; n=4,5 brute-forced")
 
 
 def _criterion_2_graphs():

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from scminor import parse_graph6, sharp_4n, write_graph6
+import scminor.topology
+from scminor import parse_graph6, random_sc, sharp_4n, write_graph6
 from scminor.cli import main
 
 
@@ -262,3 +263,23 @@ def test_check_and_minor_do_not_import_networkx():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("outerplanar=yes planar=yes ")
+
+
+def test_topo_apex_3_on_a_61_vertex_sc_graph_needs_no_apex_search(monkeypatch, capsys):
+    calls = []
+    search = scminor.topology.is_n_apex
+
+    def counted(g, j):
+        calls.append(j)
+        return search(g, j)
+
+    monkeypatch.setattr(scminor.topology, "is_n_apex", counted)
+    code, out, _ = run_cli(
+        ["topo", "--apex", "3", "--json"],
+        write_graph6(random_sc(61, 1)) + "\n",
+        monkeypatch,
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["apex_numbers"] == {str(j): False for j in range(4)}
+    assert calls == []

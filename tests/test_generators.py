@@ -1,4 +1,7 @@
+from math import factorial, prod
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scminor import (
     Graph,
@@ -23,7 +26,8 @@ from scminor import (
     sharp_4n_plus_1,
     write_graph6,
 )
-from conftest import sc_classes
+from scminor.generators import _bit_action, _centraliser_generators
+from conftest import reference_enumerate_sc, sc_classes
 
 
 def test_standard_graphs():
@@ -204,3 +208,58 @@ def test_random_sc_rejects_bad_n():
         random_sc(7, 0)
     with pytest.raises(ValueError):
         random_sc(0, 0)
+
+
+def test_enumerate_matches_canonicalising_every_assignment():
+    for n in (1, 4, 5, 8, 9):
+        assert enumerate_sc(n) == reference_enumerate_sc(n), f"n={n}"
+
+
+CYCLE_TYPES = [(n, t) for n in (8, 9, 12, 13) for t in sachs_cycle_types(n)]
+
+
+def test_centraliser_generators_generate_the_centraliser():
+    for n, cycle_type in CYCLE_TYPES:
+        sigma = permutation_with_cycle_type(n, cycle_type)
+        gens = _centraliser_generators(sigma, cycle_type)
+        for pi in gens:
+            assert all(pi(sigma(v)) == sigma(pi(v)) for v in range(n))
+        group = {tuple(range(n))}
+        frontier = list(group)
+        while frontier:
+            image = frontier.pop()
+            for pi in gens:
+                step = tuple(pi(v) for v in image)
+                if step not in group:
+                    group.add(step)
+                    frontier.append(step)
+        # |C(sigma)| = prod over cycle lengths L of L^m * m!, m = multiplicity
+        lengths = set(cycle_type)
+        order = prod(
+            L ** cycle_type.count(L) * factorial(cycle_type.count(L)) for L in lengths
+        )
+        assert len(group) == order, f"n={n}, type {cycle_type}"
+
+
+@st.composite
+def centraliser_moves(draw):
+    n, cycle_type = draw(st.sampled_from(CYCLE_TYPES))
+    sigma = permutation_with_cycle_type(n, cycle_type)
+    orbits = pair_orbits(sigma)
+    pi = draw(st.sampled_from(_centraliser_generators(sigma, cycle_type)))
+    bits = draw(st.integers(0, (1 << len(orbits)) - 1))
+    return sigma, orbits, pi, bits
+
+
+def _assignment_graph(sigma, orbits, bits):
+    choices = tuple(bool((bits >> i) & 1) for i in range(len(orbits)))
+    return sc_from_assignment(OrbitAssignment(sigma, orbits, choices))
+
+
+@settings(max_examples=60, deadline=None)
+@given(centraliser_moves())
+def test_bit_action_builds_the_relabelled_graph(move):
+    sigma, orbits, pi, bits = move
+    g = _assignment_graph(sigma, orbits, bits)
+    relabelled = Graph(g.n, [(pi(u), pi(v)) for u, v in g.edges()])
+    assert _assignment_graph(sigma, orbits, _bit_action(orbits, pi)(bits)) == relabelled

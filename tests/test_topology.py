@@ -1,5 +1,6 @@
 import pytest
 
+import scminor.topology
 from scminor import (
     Graph,
     complete_bipartite,
@@ -192,3 +193,32 @@ def test_hadwiger_of_sc_eight_vertex_graphs_is_exactly_four():
     # self-complementary graph reaches a complete minor of order 5
     for g in sc_classes(8):
         assert hadwiger(g).value == 4
+
+
+def test_report_rejects_bad_apex_parameters_despite_a_certificate():
+    g = random_sc(13, 3)
+    assert report(g, apex_range=(0,)).ik_certificate.status == "certificate"
+    with pytest.raises(ValueError, match="capped at j <= 3, got 4"):
+        report(g, apex_range=(4,))
+    with pytest.raises(ValueError, match="must be >= 0, got -1"):
+        report(g, apex_range=(0, -1))
+
+
+def test_report_apex_numbers_equal_per_j_searches(monkeypatch):
+    calls = []
+    search = scminor.topology.is_n_apex
+
+    def counted(g, j):
+        calls.append(j)
+        return search(g, j)
+
+    monkeypatch.setattr(scminor.topology, "is_n_apex", counted)
+    rng = random.Random(61)
+    graphs = [g for n in (1, 4, 5, 8, 9) for g in sc_classes(n)]
+    # dense enough that some K6 and K7 certificates settle j without search
+    graphs += [random_graph(rng, rng.randrange(6, 12), 0.7) for _ in range(20)]
+    for g in graphs:
+        calls.clear()
+        rep = report(g)
+        assert rep.apex_numbers == {j: search(g, j)[0] for j in (0, 1, 2)}
+        assert len(calls) <= 1
