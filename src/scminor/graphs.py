@@ -300,6 +300,18 @@ def canonical_form(g: Graph) -> bytes:
     Minimizes the adjacency bit string over all labelings that list the
     refinement colour classes in sorted order, by branch and bound.  The
     result is the graph6 encoding of the canonically relabelled graph.
+
+    Two rules shrink the search without changing the minimum:
+
+    - Twins (N(v) - {w} = N(w) - {v}) are interchanged by an automorphism
+      that fixes every other vertex, so their subtrees give the same block
+      strings: each node descends into one vertex per twin class.
+    - When the unplaced rest of a colour class is an independent set or a
+      clique, and its members have the same neighbours among the placed
+      vertices, every order of it gives the same blocks.  It is placed at
+      once as a cell whose order is left open.  A later vertex's bits over
+      an open cell are least with its non-neighbours first, so placing the
+      vertex splits each open cell into non-neighbours, then neighbours.
     """
     n = g.n
     if n > CANONICAL_CAP:
@@ -307,50 +319,99 @@ def canonical_form(g: Graph) -> bytes:
     if n <= 1:
         return write_graph6(g).encode("ascii")
     colors = _refined_colors(g)
-    order = sorted(range(n), key=lambda v: (colors[v], v))
-    target = [colors[v] for v in order]
     adj = g._adj
+    members: dict[int, list[int]] = {}
+    for v in range(n):
+        members.setdefault(colors[v], []).append(v)
+    target = [members[c] for c in sorted(colors)]
+    class_mask = {c: sum(1 << v for v in vs) for c, vs in members.items()}
+    target_mask = [class_mask[c] for c in sorted(colors)]
+    open_twins: dict[int, int] = {}
+    closed_twins: dict[int, int] = {}
+    for v in range(n):
+        open_twins[adj[v]] = open_twins.get(adj[v], 0) | 1 << v
+        closed = adj[v] | 1 << v
+        closed_twins[closed] = closed_twins.get(closed, 0) | 1 << v
+    twins = [open_twins[adj[v]] | closed_twins[adj[v] | 1 << v] for v in range(n)]
 
     best: list[int] | None = None
-    placed: list[int] = []
     blocks: list[int] = []
-    used = [False] * n
-    by_color: dict[int, list[int]] = {}
-    for v in range(n):
-        by_color.setdefault(colors[v], []).append(v)
 
-    def descend(depth: int, on_best_prefix: bool) -> None:
+    def split(cells: list[int], m: int, cell: int) -> list[int]:
+        """cells with each open cell split by m, then the new cell."""
+        out = []
+        for c in cells:
+            if c & (c - 1) and c & m and c & ~m:
+                out += (c & ~m, c & m)
+            else:
+                out.append(c)
+        out.append(cell)
+        return out
+
+    def descend(depth: int, cells: list[int], placed: int, on_best_prefix: bool) -> bool:
+        # cells: the placed vertices in position order, as masks; a cell of
+        # several vertices is open.  A vertex's bits over an open cell are
+        # its non-neighbours' zeros, then its neighbours' ones.
         # on_best_prefix: blocks so far equal the current best's prefix, so
-        # comparisons against best[depth] may prune; the leaf always does a
-        # full lexicographic comparison, keeping stale prefix flags harmless.
+        # comparisons against best may prune.  Otherwise they are below it,
+        # and the first leaf reached becomes the best; from then on the
+        # prefix equals the best's again, and pruning resumes.  Returns
+        # whether a leaf below replaced the best.
         nonlocal best
         if depth == n:
             if best is None or blocks < best:
                 best = blocks.copy()
-            return
+                return True
+            return False
+        rest = target_mask[depth] & ~placed
         ranked = []
-        for v in by_color[target[depth]]:
-            if used[v]:
+        for v in target[depth]:
+            if placed >> v & 1:
                 continue
             m = adj[v]
             block = 0
-            for p in placed:
-                block = (block << 1) | ((m >> p) & 1)
+            for cell in cells:
+                block = (block << cell.bit_count()) | ((1 << (m & cell).bit_count()) - 1)
             ranked.append((block, v))
+        low = rest & -rest
+        first = low.bit_length() - 1
+        clique = adj[first] & rest == rest & ~low
+        uniform = rest != low and (clique or adj[first] & rest == 0)
+        if uniform:
+            seen = adj[first] & placed
+            for _, v in ranked:
+                if adj[v] & placed != seen or adj[v] & rest != (rest & ~(1 << v) if clique else 0):
+                    uniform = False
+                    break
+        if uniform:
+            size = rest.bit_count()
+            base = ranked[0][0]  # every member's bits over the placed cells
+            forced = [(base << i) | ((1 << i) - 1 if clique else 0) for i in range(size)]
+            if on_best_prefix and best is not None:
+                if forced > best[depth : depth + size]:
+                    return False
+                on_best_prefix = forced == best[depth : depth + size]
+            blocks.extend(forced)
+            replaced = descend(depth + size, split(cells, adj[first], rest), placed | rest, on_best_prefix)
+            del blocks[depth:]
+            return replaced
         ranked.sort()
+        replaced = False
+        tried = 0
         for block, v in ranked:
             if on_best_prefix and best is not None and block > best[depth]:
                 break
+            if twins[v] & tried:
+                continue
+            tried |= 1 << v
             child_on_prefix = on_best_prefix and (best is None or block == best[depth])
-            used[v] = True
-            placed.append(v)
             blocks.append(block)
-            descend(depth + 1, child_on_prefix)
-            used[v] = False
-            placed.pop()
+            if descend(depth + 1, split(cells, adj[v], 1 << v), placed | 1 << v, child_on_prefix):
+                replaced = on_best_prefix = True
             blocks.pop()
+        return replaced
 
-    descend(0, True)
+    descend(0, [], 0, True)
     assert best is not None
     edges = []
     for i in range(1, n):

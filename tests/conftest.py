@@ -135,6 +135,67 @@ def reference_enumerate_sc(n: int) -> list[Graph]:
     return out
 
 
+def reference_canonical_form(g: Graph) -> list[int]:
+    """The least block string that canonical_form encodes, by a plain search.
+
+    Colours are refined once at the root; the labelings list the colour
+    classes in sorted order, and block i holds the bits of the vertex at
+    position i towards positions 0..i-1, position 0 first.  Every labeling
+    whose prefix ties the best so far is followed to a leaf: no twin or
+    open-cell rule.
+    """
+    n = g.n
+    adj = [g.neighbor_mask(v) for v in range(n)]
+    colors = [0] * n
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted(colors[u] for u in range(n) if adj[v] >> u & 1)))
+            for v in range(n)
+        ]
+        table = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        refined = [table[s] for s in sigs]
+        done = len(table) == len(set(colors))
+        colors = refined
+        if done:
+            break
+    target = sorted(colors)
+    best: list[int] | None = None
+    placed: list[int] = []
+
+    def descend(blocks: list[int]) -> None:
+        nonlocal best
+        depth = len(blocks)
+        if depth == n:
+            if best is None or blocks < best:
+                best = blocks
+            return
+        for v in range(n):
+            if colors[v] != target[depth] or v in placed:
+                continue
+            block = 0
+            for p in placed:
+                block = block << 1 | (adj[v] >> p & 1)
+            candidate = blocks + [block]
+            if best is not None and candidate > best[: depth + 1]:
+                continue
+            placed.append(v)
+            descend(candidate)
+            placed.pop()
+
+    descend([])
+    return best or []
+
+
+def blocks_of_form(form: bytes) -> list[int]:
+    """The block string of a canonical form's graph in its own labeling."""
+    from scminor import parse_graph6
+
+    h = parse_graph6(form.decode("ascii"))
+    return [
+        sum(1 << (i - 1 - j) for j in range(i) if h.has_edge(i, j)) for i in range(h.n)
+    ]
+
+
 @lru_cache(maxsize=None)
 def iso_classes_up_to(max_n: int) -> dict[int, list[Graph]]:
     """One representative per isomorphism class for every n <= max_n."""

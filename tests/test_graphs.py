@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scminor import (
     CapacityError,
@@ -16,9 +17,17 @@ from scminor import (
     join,
     parse_graph6,
     path_graph,
+    random_sc,
     write_graph6,
 )
-from conftest import are_isomorphic, iso_classes_up_to, random_graph
+from conftest import (
+    all_labeled_graphs,
+    are_isomorphic,
+    blocks_of_form,
+    iso_classes_up_to,
+    random_graph,
+    reference_canonical_form,
+)
 
 
 def test_construction_rejects_bad_input():
@@ -226,3 +235,46 @@ def test_canonical_matches_isomorphism_on_labeled_graphs():
             g = random_graph(rng, n)
             rep = reps[canonical_form(g)]
             assert are_isomorphic(g, rep)
+
+
+def test_canonical_form_is_the_least_block_string():
+    # The twin and open-cell rules cut the search, never the minimum: the
+    # form is the one a search that follows every tie to a leaf finds.
+    graphs = [g for n in range(6) for g in all_labeled_graphs(n)]
+    for n in (8, 9, 12, 13):
+        for seed in range(10):
+            g = random_sc(n, seed)
+            graphs += [g, complement(g)]
+    for g in graphs:
+        assert blocks_of_form(canonical_form(g)) == reference_canonical_form(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 10), st.floats(0.0, 1.0), st.randoms(use_true_random=False))
+def test_canonical_form_least_and_invariant_on_random_graphs(n, p, rng):
+    g = random_graph(rng, n, p)
+    form = canonical_form(g)
+    assert blocks_of_form(form) == reference_canonical_form(g)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    relabeled = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+    assert canonical_form(relabeled) == form
+
+
+def test_canonical_form_splits_open_cells():
+    # Split graphs: an independent set of 6, a clique of 6, and a 3-regular
+    # bipartite graph between them.  Refinement keeps the two classes, the
+    # independent set is placed as one open cell, and the least string needs
+    # that cell split by each clique vertex.  They have 518,400 labelings.
+    rng = random.Random(3)
+    for _ in range(6):
+        image = list(range(6, 12))
+        rng.shuffle(image)
+        edges = [(u, v) for u in range(6, 12) for v in range(u + 1, 12)]
+        edges += [(i, image[(i + k) % 6]) for i in range(6) for k in range(3)]
+        g = Graph(12, edges)
+        perm = list(range(12))
+        rng.shuffle(perm)
+        relabeled = Graph(12, [(perm[u], perm[v]) for u, v in g.edges()])
+        assert canonical_form(relabeled) == canonical_form(g)
+        assert blocks_of_form(canonical_form(g)) == reference_canonical_form(g)
