@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from .graphs import Graph, induced_subgraph, iter_bits
+from .graphs import ConsistencyError, Graph, induced_subgraph, iter_bits
 
 
 class Permutation:
@@ -205,9 +205,9 @@ class SidePartition:
 def side_partition(g: Graph, rho: Permutation) -> SidePartition:
     """Split by the degree threshold and collect the cross edges.
 
-    The antimorphism swaps the two sides, the two induced halves are
-    complements of each other under it, and the cross subgraph has exactly
-    2k^2 edges; all three facts are re-checked here.
+    The antimorphism swaps the two sides (so each has 2k vertices), the two
+    induced halves are complements of each other under it, and the cross
+    subgraph has exactly 2k^2 edges; the swap and the count are re-checked.
     """
     n = g.n
     if n % 4 != 0:
@@ -217,12 +217,11 @@ def side_partition(g: Graph, rho: Permutation) -> SidePartition:
     k = n // 4
     high = frozenset(v for v in range(n) if g.degree(v) >= 2 * k)
     low = frozenset(range(n)) - high
-    assert len(high) == len(low) == 2 * k
-    assert {rho(v) for v in high} == low
     cross_edges = [
         (u, v) for u, v in g.edges() if (u in high) != (v in high)
     ]
-    assert len(cross_edges) == 2 * k * k
+    if {rho(v) for v in high} != low or len(cross_edges) != 2 * k * k:
+        raise ConsistencyError("rho does not swap the degree sides across 2k^2 cross edges")
     return SidePartition(high, low, Graph(n, cross_edges))
 
 

@@ -19,7 +19,6 @@ from .antimorphism import find_antimorphism
 from .construction import (
     MinorModel,
     build_plan,
-    guaranteed_minor,
     realize_minor,
     verify_minor_model,
 )
@@ -86,7 +85,7 @@ def is_outerplanar(g: Graph) -> bool:
 
 
 def _excluded_minor_witness(
-    g: Graph, targets: list[tuple[str, Graph]], budget: int
+    g: Graph, targets: list[tuple[str, Graph]], budget: int, none_target: str | None = None
 ) -> CertificateSearch:
     spent = 0
     for name, target in targets:
@@ -96,7 +95,7 @@ def _excluded_minor_witness(
             return CertificateSearch(CERTIFICATE, name, outcome.model, spent)
         if outcome.answer == BUDGET_EXCEEDED:
             return CertificateSearch(INDETERMINATE, name, None, spent)
-    return CertificateSearch(NONE_FOUND, None, None, spent)
+    return CertificateSearch(NONE_FOUND, none_target, None, spent)
 
 
 def nonplanarity_witness(g: Graph, budget: int = DEFAULT_BUDGET) -> CertificateSearch:
@@ -119,44 +118,43 @@ def nonouterplanarity_witness(
     )
 
 
-def _complete_certificate(g: Graph, order: int, budget: int) -> CertificateSearch:
+def _constructive_model(g: Graph, order: int) -> MinorModel | None:
+    """Verified K_floor((n+1)/2) model of an SC g, else None; no search runs
+    when floor((n+1)/2) < ``order``, as the caller could not use its answer."""
+    if (g.n + 1) // 2 < order:
+        return None
+    rho = find_antimorphism(g)
+    return None if rho is None else realize_minor(g, build_plan(g, rho))
+
+
+def _complete_certificate(
+    g: Graph, order: int, budget: int, model: MinorModel | None
+) -> CertificateSearch:
     """Verified complete minor of the given order, constructively when possible.
 
-    Self-complementary hosts large enough that the guaranteed minor already
-    reaches ``order`` skip the oracle: the certificate is the first ``order``
-    branch sets of the constructed model.  Smaller hosts skip the
-    antimorphism search, whose answer they could not use.
+    A ``model`` with at least ``order`` branch sets skips the oracle: the
+    certificate is its first ``order`` branch sets, verified again.
     """
-    rho = find_antimorphism(g) if (g.n + 1) // 2 >= order else None
-    if rho is not None:
-        model = realize_minor(g, build_plan(g, rho))
-        trimmed = MinorModel(model.branch_sets[:order])
-        check = verify_minor_model(g, trimmed, complete_graph(order))
+    name = f"K{order}"
+    if model is not None and model.k >= order:
+        prefix = MinorModel(model.branch_sets[:order])
+        check = verify_minor_model(g, prefix, complete_graph(order))
         if not check.ok:
-            raise ConsistencyError(
-                f"trimmed constructive certificate failed: {check.reason}"
-            )
-        return CertificateSearch(CERTIFICATE, f"K{order}", trimmed, 0)
+            raise ConsistencyError(f"trimmed constructive certificate failed: {check.reason}")
+        return CertificateSearch(CERTIFICATE, name, prefix)
     if g.n > ORACLE_HOST_CAP:
-        return CertificateSearch(INDETERMINATE, f"K{order}", None, 0)
-    outcome = has_minor(MinorQuery(g, complete_graph(order), budget))
-    if outcome.answer == YES:
-        return CertificateSearch(
-            CERTIFICATE, f"K{order}", outcome.model, outcome.expansions
-        )
-    if outcome.answer == BUDGET_EXCEEDED:
-        return CertificateSearch(INDETERMINATE, f"K{order}", None, outcome.expansions)
-    return CertificateSearch(NONE_FOUND, f"K{order}", None, outcome.expansions)
+        return CertificateSearch(INDETERMINATE, name)
+    return _excluded_minor_witness(g, [(name, complete_graph(order))], budget, name)
 
 
 def il_certificate(g: Graph, budget: int = DEFAULT_BUDGET) -> CertificateSearch:
     """Sufficient certificate that g is intrinsically linked: a K6 minor."""
-    return _complete_certificate(g, 6, budget)
+    return _complete_certificate(g, 6, budget, _constructive_model(g, 6))
 
 
 def ik_certificate(g: Graph, budget: int = DEFAULT_BUDGET) -> CertificateSearch:
     """Sufficient certificate that g is intrinsically knotted: a K7 minor."""
-    return _complete_certificate(g, 7, budget)
+    return _complete_certificate(g, 7, budget, _constructive_model(g, 7))
 
 
 def _check_apex_parameter(j: int) -> None:
@@ -214,13 +212,13 @@ def report(
 ) -> TopologyReport:
     """Aggregate the topology predicates and re-check their consistency.
 
-    A K_t minor with t >= 5 + j proves that g is not j-apex: deleting j
-    vertices removes at most j branch sets, so a K5 minor survives.  The
-    largest verified IL/IK certificate settles such j with no search.  If
-    the largest open j is still small enough, a self-complementary g
-    settles it with its constructive minor of order floor((n+1)/2).  What
-    is left is answered by one apex search at the largest open j: its
-    deletion set is a smallest one, so it answers every smaller j too.
+    An SC g with floor((n+1)/2) >= 6 gets one constructive model, and its
+    IL/IK certificates are the model's first 6 and 7 branch sets where it
+    has that many.  A verified K_t model with t >= 5 + j proves that g is
+    not j-apex: deleting j vertices removes at most j branch sets, so a K5
+    minor survives.  What is left is answered by one apex search at the
+    largest open j: its deletion set is a smallest one, so it answers every
+    smaller j too.
     """
     for j in apex_range:
         _check_apex_parameter(j)
@@ -228,14 +226,14 @@ def report(
     planar = is_planar(g)
     if outer and not planar:
         raise ConsistencyError("outerplanar graph reported non-planar")
-    il = il_certificate(g, budget)
-    ik = ik_certificate(g, budget)
+    model, half = _constructive_model(g, 6), (g.n + 1) // 2
+    # il_certificate / ik_certificate search where half >= their order: reuse this one.
+    il = _complete_certificate(g, 6, budget, model) if half >= 6 else il_certificate(g, budget)
+    ik = _complete_certificate(g, 7, budget, model) if half >= 7 else ik_certificate(g, budget)
     if ik.status == CERTIFICATE and il.status == NONE_FOUND:
         raise ConsistencyError("complete minor of order 7 without one of order 6")
-    t = max((c.model.k for c in (il, ik) if c.status == CERTIFICATE), default=0)
+    t = max((m.k for m in (model, il.model, ik.model) if m is not None), default=0)
     top = max((j for j in apex_range if t < 5 + j), default=None)
-    if top is not None and (g.n + 1) // 2 >= 5 + top and guaranteed_minor(g) is not None:
-        top = None
     if top is None:
         apex = {j: False for j in apex_range}
     else:

@@ -64,6 +64,12 @@ def test_criterion_1_enumeration_counts():
     _report(1, "class counts 1/1/2/10/36/720 at n=1/4/5/8/9/12; n=4,5 brute-forced")
 
 
+def test_criterion_1_enumeration_count_at_13():
+    # OEIS A000171: 5,600 self-complementary graphs on 13 vertices
+    assert len(enumerate_sc(13, allow_large=True)) == 5600
+    _report(1, "class count 5600 at n=13")
+
+
 def _criterion_2_graphs():
     for n in (4, 5, 8, 9):
         for g in sc_classes(n):

@@ -3,7 +3,10 @@ from itertools import permutations
 
 import pytest
 
+import scminor.antimorphism
 from scminor import (
+    ConsistencyError,
+    Graph,
     Permutation,
     canonical_form,
     check_sachs,
@@ -223,3 +226,17 @@ def test_random_graphs_mostly_not_sc():
         rho = find_antimorphism(g)
         if rho is not None:
             assert is_antimorphism(g, rho)
+
+
+def test_side_partition_raises_consistency_error_not_assert(monkeypatch):
+    # With the antimorphism precondition forced through, the re-checks must
+    # still fire under ``python -O``: they raise instead of asserting.
+    monkeypatch.setattr(scminor.antimorphism, "is_antimorphism", lambda g, p: True)
+    with pytest.raises(ConsistencyError, match="swap the degree sides"):
+        side_partition(path_graph(4), Permutation([0, 1, 2, 3]))
+    # high = K4 on 0..3 plus one pendant edge each: rho swaps the sides, but
+    # there are 4 cross edges instead of 2k^2 = 8
+    k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    g = Graph(8, k4 + [(i, 4 + i) for i in range(4)])
+    with pytest.raises(ConsistencyError, match="across 2k\\^2 cross edges"):
+        side_partition(g, Permutation([4, 5, 6, 7, 0, 1, 2, 3]))

@@ -3,7 +3,9 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scminor.generators
 from scminor import (
+    ConsistencyError,
     Graph,
     OrbitAssignment,
     Permutation,
@@ -263,3 +265,12 @@ def test_bit_action_builds_the_relabelled_graph(move):
     g = _assignment_graph(sigma, orbits, bits)
     relabelled = Graph(g.n, [(pi(u), pi(v)) for u, v in g.edges()])
     assert _assignment_graph(sigma, orbits, _bit_action(orbits, pi)(bits)) == relabelled
+
+
+def test_sc_from_assignment_raises_consistency_error_not_assert(monkeypatch):
+    sigma = permutation_with_cycle_type(8, (8,))
+    assignment = OrbitAssignment.from_choices(sigma, (True,) * len(pair_orbits(sigma)))
+    assert is_antimorphism(sc_from_assignment(assignment), sigma)
+    monkeypatch.setattr(scminor.generators, "is_antimorphism", lambda g, p: False)
+    with pytest.raises(ConsistencyError, match="not an antimorphism"):
+        sc_from_assignment(assignment)

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+import scminor.construction
 import scminor.topology
 from scminor import (
     Graph,
@@ -222,3 +225,67 @@ def test_report_apex_numbers_equal_per_j_searches(monkeypatch):
         rep = report(g)
         assert rep.apex_numbers == {j: search(g, j)[0] for j in (0, 1, 2)}
         assert len(calls) <= 1
+
+
+def _count_construction_calls(monkeypatch):
+    """Count antimorphism searches, plans and realisations by name.
+
+    Searches are counted in construction too, so that one hidden inside
+    ``guaranteed_minor`` is caught.  Each module keeps its own reference, so
+    no call is counted twice.
+    """
+    calls = Counter()
+    for module in (scminor.topology, scminor.construction):
+        for name in ("find_antimorphism", "build_plan", "realize_minor"):
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_report_builds_the_constructive_model_once(monkeypatch):
+    calls = _count_construction_calls(monkeypatch)
+    once = {"find_antimorphism": 1, "build_plan": 1, "realize_minor": 1}
+    for g, apex_range in (
+        (random_sc(13, 1), (0, 1, 2)),
+        (random_sc(61, 1), (0, 1, 2, 3)),
+    ):
+        calls.clear()
+        report(g, apex_range=apex_range)
+        assert calls == once
+    # below floor((n+1)/2) = 6 the model could settle nothing: no search at all
+    for g in (g for n in (1, 4, 5, 8, 9) for g in sc_classes(n)):
+        for apex_range in ((0, 1, 2), (0,)):
+            calls.clear()
+            report(g, apex_range=apex_range)
+            assert not calls
+    # a host that is not SC is searched once, and the oracle answers the rest
+    rng = random.Random(19)
+    for _ in range(6):
+        calls.clear()
+        report(random_graph(rng, rng.randrange(11, 14), 0.7))
+        assert calls == {"find_antimorphism": 1}
+
+
+def test_report_certificates_equal_the_certificate_functions():
+    rng = random.Random(43)
+    graphs = [g for n in (1, 4, 5, 8, 9) for g in sc_classes(n)]
+    assert len(graphs) == 50
+    graphs += [random_sc(n, s) for n in (12, 13) for s in range(5)]
+    graphs += [complete_graph(6), complete_graph(7)]
+    graphs += [random_graph(rng, rng.randrange(8, 14), 0.8) for _ in range(10)]
+    for g in graphs:
+        rep = report(g)
+        pairs = (rep.il_certificate, il_certificate(g)), (rep.ik_certificate, ik_certificate(g))
+        for got, want in pairs:
+            assert (got.status, got.target, got.model) == (want.status, want.target, want.model)
+
+
+def test_none_found_targets_are_pinned():
+    data = report(cycle_graph(5)).to_json_dict()
+    assert data["il_certificate"] == {"status": "none_found", "target": "K6", "model": None}
+    assert data["ik_certificate"] == {"status": "none_found", "target": "K7", "model": None}
+    assert nonplanarity_witness(complete_graph(4)).target is None
+    assert nonouterplanarity_witness(cycle_graph(5)).target is None
