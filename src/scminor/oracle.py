@@ -8,6 +8,15 @@ least still-available vertex, or that vertex is discarded), which visits
 each branch-set family exactly once.  All work is metered against an
 explicit expansion budget; running out is reported as its own outcome and
 is never silently converted to "no".
+
+Every placed branch set B carries its neighbourhood mask N(B) minus B, so
+a disjoint candidate touches B iff it meets that mask.  The complete search
+also prunes by reach: a node with ``need`` sets still to place is dropped
+once some placed B has fewer than ``need`` neighbours in ``avail``.  This
+is sound because the remaining sets are disjoint subsets of ``avail`` and
+each must contain a neighbour of B.  The rule removes only subtrees that
+hold no completion, so the surviving nodes are visited in the same order
+and every answer and witness is unchanged; only the expansion count falls.
 """
 
 from __future__ import annotations
@@ -81,11 +90,12 @@ class HadwigerOutcome:
     expansions: int
 
 
-def _cross_edge(adj: tuple[int, ...], a: int, b: int) -> bool:
-    for v in iter_bits(a):
-        if adj[v] & b:
-            return True
-    return False
+def _neighbourhood(adj: tuple[int, ...], mask: int) -> int:
+    """N(mask) minus mask: a set disjoint from ``mask`` touches it iff it meets this."""
+    out = 0
+    for v in iter_bits(mask):
+        out |= adj[v]
+    return out & ~mask
 
 
 def _connected_sets(adj, anchor: int, region: int, max_size: int, budget: _Budget):
@@ -146,23 +156,30 @@ def _clique_minor_sets(g: Graph, k: int, budget: _Budget) -> tuple[int, ...] | N
         return tuple(1 << v for v in iter_bits(clique))
     adj = g._adj
 
-    def place(done: tuple[int, ...], avail: int):
+    def place(done: tuple[int, ...], reach: tuple[int, ...], avail: int):
         budget.spend()
         need = k - len(done)
         if need == 0:
             return done
         if avail.bit_count() < need:
             return None
+        for nb in reach:
+            if (nb & avail).bit_count() < need:
+                return None
         anchor = (avail & -avail).bit_length() - 1
         limit = avail.bit_count() - (need - 1)
         for cand in _connected_sets(adj, anchor, avail, limit, budget):
-            if all(_cross_edge(adj, cand, seen) for seen in done):
-                found = place(done + (cand,), avail & ~cand)
+            if all(nb & cand for nb in reach):
+                found = place(
+                    done + (cand,),
+                    reach + (_neighbourhood(adj, cand),),
+                    avail & ~cand,
+                )
                 if found is not None:
                     return found
-        return place(done, avail & ~(1 << anchor))
+        return place(done, reach, avail & ~(1 << anchor))
 
-    return place((), (1 << g.n) - 1)
+    return place((), (), (1 << g.n) - 1)
 
 
 def _general_minor_sets(
@@ -172,15 +189,14 @@ def _general_minor_sets(
     order = sorted(range(target.n), key=lambda i: (-target.degree(i), i))
     adj = host._adj
     assigned: dict[int, int] = {}
+    reach: dict[int, int] = {}
 
     def place(pos: int, avail: int) -> bool:
         budget.spend()
         if pos == target.n:
             return True
         tv = order[pos]
-        required = [
-            assigned[prev] for prev in order[:pos] if target.has_edge(tv, prev)
-        ]
+        required = [reach[prev] for prev in order[:pos] if target.has_edge(tv, prev)]
         remaining = target.n - pos - 1
         limit = avail.bit_count() - remaining
         anchors = avail
@@ -190,8 +206,9 @@ def _general_minor_sets(
             v = low.bit_length() - 1
             region = avail & ~(low - 1)
             for cand in _connected_sets(adj, v, region, limit, budget):
-                if all(_cross_edge(adj, cand, req) for req in required):
+                if all(nb & cand for nb in required):
                     assigned[tv] = cand
+                    reach[tv] = _neighbourhood(adj, cand)
                     if place(pos + 1, avail & ~cand):
                         return True
                     del assigned[tv]

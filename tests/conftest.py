@@ -274,3 +274,47 @@ def reference_hadwiger(g: Graph) -> int:
 
     descend(0)
     return best
+
+
+def reference_clique_minor_sets(g: Graph, k: int, budget) -> tuple[int, ...] | None:
+    """``oracle._clique_minor_sets`` as it was before the neighbourhood-reach rule.
+
+    The body is kept verbatim, with its pairwise adjacency test as a nested
+    helper. The rule may only remove subtrees that hold no completion, so the
+    pruned search must return the same branch sets with no more expansions.
+    """
+    from scminor.graphs import iter_bits
+    from scminor.oracle import _clique_subgraph, _connected_sets
+
+    def _cross_edge(adj: tuple[int, ...], a: int, b: int) -> bool:
+        for v in iter_bits(a):
+            if adj[v] & b:
+                return True
+        return False
+
+    if k == 0:
+        return ()
+    if k > g.n:
+        return None
+    clique = _clique_subgraph(g, k, budget)
+    if clique is not None:
+        return tuple(1 << v for v in iter_bits(clique))
+    adj = g._adj
+
+    def place(done: tuple[int, ...], avail: int):
+        budget.spend()
+        need = k - len(done)
+        if need == 0:
+            return done
+        if avail.bit_count() < need:
+            return None
+        anchor = (avail & -avail).bit_length() - 1
+        limit = avail.bit_count() - (need - 1)
+        for cand in _connected_sets(adj, anchor, avail, limit, budget):
+            if all(_cross_edge(adj, cand, seen) for seen in done):
+                found = place(done + (cand,), avail & ~cand)
+                if found is not None:
+                    return found
+        return place(done, avail & ~(1 << anchor))
+
+    return place((), (1 << g.n) - 1)

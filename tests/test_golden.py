@@ -63,7 +63,7 @@ GOLDEN = [
         ["hadwiger", "--json"],
         DHC + "\n",
         0,
-        '{"hadwiger": 3, "exact": true, "upper_bound": 3, "expansions": 68, '
+        '{"hadwiger": 3, "exact": true, "upper_bound": 3, "expansions": 39, '
         '"witness": {"k": 3, "branch_sets": [[0], [1], [2, 3, 4]]}}\n',
     ),
     (

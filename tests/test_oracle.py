@@ -111,10 +111,17 @@ def test_hadwiger_agrees_with_unpruned_reference_random():
         assert hadwiger(g).value == reference_hadwiger(g)
 
 
-def test_hadwiger_agrees_with_unpruned_reference_exhaustive_n5():
-    for n in range(1, 6):
+def test_hadwiger_agrees_with_unpruned_reference_exhaustive_n6():
+    for n in range(1, 7):
         for g in iso_classes_up_to(6)[n]:
             assert hadwiger(g).value == reference_hadwiger(g)
+
+
+def test_sharp_families_at_m3_are_exact_within_a_small_budget():
+    six = hadwiger(sharp_4n(3), 200_000)
+    assert six.exact and six.value == 6 and six.upper_bound == 6
+    seven = hadwiger(sharp_4n_plus_1(3), 250_000)
+    assert seven.exact and seven.value == 7 and seven.upper_bound == 7
 
 
 def test_minor_outcome_json_schema():
