@@ -198,10 +198,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
             graphs = [sharp_4n_plus_1(args.n)]
         else:
             graphs = [random_sc(args.n, args.seed + i) for i in range(args.count)]
+        texts = [write_graph6(g) for g in graphs]
     except (ValueError, CapacityError) as exc:
         raise _InputError(0, str(exc)) from exc
-    for g in graphs:
-        text = write_graph6(g)
+    for text in texts:
         _emit({"graph6": text}, text, args.json)
     return EXIT_OK
 

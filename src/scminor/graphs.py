@@ -316,23 +316,18 @@ def canonical_form(g: Graph) -> bytes:
     n = g.n
     if n > CANONICAL_CAP:
         raise CapacityError(f"canonical form supports n <= {CANONICAL_CAP}, got {n}")
-    if n <= 1:
-        return write_graph6(g).encode("ascii")
     colors = _refined_colors(g)
     adj = g._adj
-    members: dict[int, list[int]] = {}
+    class_mask: dict[int, int] = {}
+    # Keyed by open and by closed neighbourhood: N(v) never equals N[w],
+    # since w in N(v) would put v in N[w], and v is not in N(v).
+    twin_mask: dict[int, int] = {}
     for v in range(n):
-        members.setdefault(colors[v], []).append(v)
-    target = [members[c] for c in sorted(colors)]
-    class_mask = {c: sum(1 << v for v in vs) for c, vs in members.items()}
-    target_mask = [class_mask[c] for c in sorted(colors)]
-    open_twins: dict[int, int] = {}
-    closed_twins: dict[int, int] = {}
-    for v in range(n):
-        open_twins[adj[v]] = open_twins.get(adj[v], 0) | 1 << v
-        closed = adj[v] | 1 << v
-        closed_twins[closed] = closed_twins.get(closed, 0) | 1 << v
-    twins = [open_twins[adj[v]] | closed_twins[adj[v] | 1 << v] for v in range(n)]
+        class_mask[colors[v]] = class_mask.get(colors[v], 0) | 1 << v
+        for key in (adj[v], adj[v] | 1 << v):
+            twin_mask[key] = twin_mask.get(key, 0) | 1 << v
+    target = [class_mask[c] for c in sorted(colors)]
+    twins = [twin_mask[adj[v]] | twin_mask[adj[v] | 1 << v] for v in range(n)]
 
     best: list[int] | None = None
     blocks: list[int] = []
@@ -348,26 +343,21 @@ def canonical_form(g: Graph) -> bytes:
         out.append(cell)
         return out
 
-    def descend(depth: int, cells: list[int], placed: int, on_best_prefix: bool) -> bool:
+    def descend(depth: int, cells: list[int], placed: int) -> None:
         # cells: the placed vertices in position order, as masks; a cell of
         # several vertices is open.  A vertex's bits over an open cell are
         # its non-neighbours' zeros, then its neighbours' ones.
-        # on_best_prefix: blocks so far equal the current best's prefix, so
-        # comparisons against best may prune.  Otherwise they are below it,
-        # and the first leaf reached becomes the best; from then on the
-        # prefix equals the best's again, and pruning resumes.  Returns
-        # whether a leaf below replaced the best.
+        # A branch is cut only where blocks == best[:depth] and its next
+        # block, or an open cell's forced blocks, exceed the best's there;
+        # below the best's prefix, the first leaf reached replaces the best.
         nonlocal best
         if depth == n:
             if best is None or blocks < best:
                 best = blocks.copy()
-                return True
-            return False
-        rest = target_mask[depth] & ~placed
+            return
+        rest = target[depth] & ~placed
         ranked = []
-        for v in target[depth]:
-            if placed >> v & 1:
-                continue
+        for v in iter_bits(rest):
             m = adj[v]
             block = 0
             for cell in cells:
@@ -387,36 +377,25 @@ def canonical_form(g: Graph) -> bytes:
             size = rest.bit_count()
             base = ranked[0][0]  # every member's bits over the placed cells
             forced = [(base << i) | ((1 << i) - 1 if clique else 0) for i in range(size)]
-            if on_best_prefix and best is not None:
-                if forced > best[depth : depth + size]:
-                    return False
-                on_best_prefix = forced == best[depth : depth + size]
+            if best is not None and blocks == best[:depth] and forced > best[depth : depth + size]:
+                return
             blocks.extend(forced)
-            replaced = descend(depth + size, split(cells, adj[first], rest), placed | rest, on_best_prefix)
+            descend(depth + size, split(cells, adj[first], rest), placed | rest)
             del blocks[depth:]
-            return replaced
-        ranked.sort()
-        replaced = False
+            return
         tried = 0
+        ranked.sort()
         for block, v in ranked:
-            if on_best_prefix and best is not None and block > best[depth]:
+            if best is not None and block > best[depth] and blocks == best[:depth]:
                 break
             if twins[v] & tried:
                 continue
             tried |= 1 << v
-            child_on_prefix = on_best_prefix and (best is None or block == best[depth])
             blocks.append(block)
-            if descend(depth + 1, split(cells, adj[v], 1 << v), placed | 1 << v, child_on_prefix):
-                replaced = on_best_prefix = True
+            descend(depth + 1, split(cells, adj[v], 1 << v), placed | 1 << v)
             blocks.pop()
-        return replaced
 
-    descend(0, [], 0, True)
+    descend(0, [], 0)
     assert best is not None
-    edges = []
-    for i in range(1, n):
-        row = best[i]
-        for j in range(i):
-            if (row >> (i - 1 - j)) & 1:
-                edges.append((j, i))
+    edges = [(j, i) for i in range(1, n) for j in range(i) if best[i] >> (i - 1 - j) & 1]
     return write_graph6(Graph(n, edges)).encode("ascii")

@@ -39,16 +39,15 @@ class _OutOfBudget(Exception):
 
 
 class _Budget:
-    __slots__ = ("remaining", "spent")
+    __slots__ = ("limit", "spent")
 
     def __init__(self, limit: int):
-        self.remaining = limit
+        self.limit = limit
         self.spent = 0
 
     def spend(self) -> None:
         self.spent += 1
-        self.remaining -= 1
-        if self.remaining < 0:
+        if self.spent > self.limit:
             raise _OutOfBudget
 
 
@@ -188,35 +187,27 @@ def _general_minor_sets(
     """Branch-set masks indexed by target vertex, for an arbitrary target."""
     order = sorted(range(target.n), key=lambda i: (-target.degree(i), i))
     adj = host._adj
-    assigned: dict[int, int] = {}
-    reach: dict[int, int] = {}
 
-    def place(pos: int, avail: int) -> bool:
+    def place(done: tuple[int, ...], reach: tuple[int, ...], avail: int):
         budget.spend()
+        pos = len(done)
         if pos == target.n:
-            return True
+            return done
         tv = order[pos]
-        required = [reach[prev] for prev in order[:pos] if target.has_edge(tv, prev)]
-        remaining = target.n - pos - 1
-        limit = avail.bit_count() - remaining
-        anchors = avail
-        while anchors:
-            low = anchors & -anchors
-            anchors ^= low
-            v = low.bit_length() - 1
-            region = avail & ~(low - 1)
+        required = [reach[i] for i in range(pos) if target.has_edge(tv, order[i])]
+        limit = avail.bit_count() - (target.n - pos - 1)
+        for v in iter_bits(avail):
+            region = avail & ~((1 << v) - 1)
             for cand in _connected_sets(adj, v, region, limit, budget):
                 if all(nb & cand for nb in required):
-                    assigned[tv] = cand
-                    reach[tv] = _neighbourhood(adj, cand)
-                    if place(pos + 1, avail & ~cand):
-                        return True
-                    del assigned[tv]
-        return False
+                    nb = _neighbourhood(adj, cand)
+                    found = place(done + (cand,), reach + (nb,), avail & ~cand)
+                    if found is not None:
+                        return found
+        return None
 
-    if place(0, (1 << host.n) - 1):
-        return tuple(assigned[i] for i in range(target.n))
-    return None
+    done = place((), (), (1 << host.n) - 1)
+    return None if done is None else tuple(done[order.index(i)] for i in range(target.n))
 
 
 def _is_complete(g: Graph) -> bool:

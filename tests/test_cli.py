@@ -134,6 +134,17 @@ def test_gen_family_invalid_parameter(monkeypatch, capsys):
     assert code == 2 and err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["--family", "sharp4n", "--n", "16"], ["--random", "--n", "64"]],
+)
+def test_gen_beyond_the_graph6_cap_is_an_input_error(args, monkeypatch, capsys):
+    # Both build a 64-vertex graph, which graph6's short form cannot hold.
+    code, out, err = run_cli(["gen", *args], "", monkeypatch, capsys)
+    assert code == 2 and out == ""
+    assert err == "line 0: graph6 short form supports n <= 62, got 64\n"
+
+
 def test_gen_random_deterministic(monkeypatch, capsys):
     args = ["gen", "--random", "--n", "12", "--count", "3", "--seed", "7"]
     code, out1, _ = run_cli(args, "", monkeypatch, capsys)

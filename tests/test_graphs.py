@@ -154,6 +154,21 @@ def test_graph6_roundtrip_random():
         assert parse_graph6(write_graph6(g)) == g
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 62), st.floats(0.0, 1.0), st.randoms(use_true_random=False))
+def test_graph6_roundtrip_up_to_the_cap(n, p, rng):
+    g = random_graph(rng, n, p)
+    text = write_graph6(g)
+    assert len(text) == 1 + (n * (n - 1) // 2 + 5) // 6
+    assert parse_graph6(text) == g
+
+
+def test_write_graph6_rejects_63_and_64_vertices():
+    for n in (63, 64):
+        with pytest.raises(CapacityError):
+            write_graph6(Graph(n))
+
+
 def test_graph6_rejects_malformed():
     with pytest.raises(Graph6Error):
         parse_graph6("")
@@ -278,3 +293,33 @@ def test_canonical_form_splits_open_cells():
         relabeled = Graph(12, [(perm[u], perm[v]) for u, v in g.edges()])
         assert canonical_form(relabeled) == canonical_form(g)
         assert blocks_of_form(canonical_form(g)) == reference_canonical_form(g)
+
+
+def relabelled(g: Graph, perm: list[int]) -> Graph:
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def paley_13() -> Graph:
+    squares = {x * x % 13 for x in range(1, 13)}
+    return Graph(13, [(u, v) for u in range(13) for v in range(u + 1, 13) if (v - u) % 13 in squares])
+
+
+REGULAR_SC_13 = [paley_13()] + [random_sc(13, s) for s in (3, 8, 18, 22, 29, 46, 54, 55, 57, 70, 78)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(REGULAR_SC_13),
+    st.permutations(range(13)),
+    st.permutations(range(13)),
+    st.permutations(range(13)),
+)
+def test_canonical_form_of_regular_sc_graphs(base, p0, p1, p2):
+    # Refinement leaves a regular graph one colour class, so the twin and
+    # open-cell rules carry the whole search.  A relabelling and the
+    # complement of a relabelling must get the graph's own form.
+    assert len({base.degree(v) for v in range(13)}) == 1
+    g = relabelled(base, p0)
+    form = canonical_form(g)
+    assert canonical_form(relabelled(g, p1)) == form
+    assert canonical_form(complement(relabelled(g, p2))) == form
