@@ -196,6 +196,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
             graphs = [sharp_4n(args.n)]
         elif args.family == "sharp4n1":
             graphs = [sharp_4n_plus_1(args.n)]
+        elif args.count < 1:
+            raise _InputError(0, f"--count must be positive, got {args.count}")
         else:
             graphs = [random_sc(args.n, args.seed + i) for i in range(args.count)]
         texts = [write_graph6(g) for g in graphs]

@@ -1,12 +1,16 @@
 """Topological predicates driven by excluded minors.
 
-Outerplanarity and planarity are decided by a proper planarity algorithm
-(a graph is outerplanar iff adding an apex joined to everything keeps it
-planar); the minor oracle is only consulted when an explicit excluded-minor
-witness is requested.  Intrinsic linking and knotting are reported as
-one-sided certificates: a complete minor of order 6 (resp. 7) proves the
-property, its absence proves nothing, and the result type keeps that
-distinction explicit.
+Outerplanarity and planarity are settled by exact edge-count rules where
+they can be: fewer than 9 edges means planar and fewer than 6 outerplanar
+(no minor has more edges than its host, K3,3 has 9 and K4 and K2,3 have 6);
+more than 3n - 6 edges means not planar and more than 2n - 3 not
+outerplanar (Euler's formula).  What the counts leave open goes to
+networkx's planarity algorithm (a graph is outerplanar iff adding an apex
+joined to everything keeps it planar).  The minor oracle is only consulted
+when an explicit excluded-minor witness is requested.  Intrinsic linking
+and knotting are reported as one-sided certificates: a complete minor of
+order 6 (resp. 7) proves the property, its absence proves nothing, and the
+result type keeps that distinction explicit.
 """
 
 from __future__ import annotations
@@ -57,9 +61,20 @@ class CertificateSearch:
 def _planar(g: Graph, apex: bool) -> bool:
     """Planarity of g, with one extra vertex joined to all of g if ``apex``.
 
-    networkx is imported here rather than at module level, so the verbs
-    that never test planarity do not pay for loading it.
+    Edge counts decide first.  A non-planar graph has a K5 or K3,3 minor,
+    so at least 9 edges; a non-outerplanar one has a K4 or K2,3 minor, so
+    at least 6.  Fewer edges therefore mean yes.  More than 3n - 6 edges
+    (planar) or 2n - 3 (outerplanar) mean no, by Euler's formula; a graph
+    that gets that far has at least 6 edges, so n >= 4 and the formula
+    applies.  networkx is imported only for what the counts leave open, so
+    the verbs and graphs that never reach it do not pay for loading it.
     """
+    m = g.num_edges
+    fewest, most = (6, 2 * g.n - 3) if apex else (9, 3 * g.n - 6)
+    if m < fewest:
+        return True
+    if m > most:
+        return False
     import networkx as nx
 
     h = nx.Graph()
@@ -223,9 +238,6 @@ def report(
     for j in apex_range:
         _check_apex_parameter(j)
     outer = is_outerplanar(g)
-    planar = is_planar(g)
-    if outer and not planar:
-        raise ConsistencyError("outerplanar graph reported non-planar")
     model, half = _constructive_model(g, 6), (g.n + 1) // 2
     # il_certificate / ik_certificate search where half >= their order: reuse this one.
     il = _complete_certificate(g, 6, budget, model) if half >= 6 else il_certificate(g, budget)
@@ -236,9 +248,14 @@ def report(
     top = max((j for j in apex_range if t < 5 + j), default=None)
     if top is None:
         apex = {j: False for j in apex_range}
+        planar = is_planar(g)
     else:
+        # the search tests g itself first, so it answers planarity too
         found, deleted = is_n_apex(g, top)
         apex = {j: t < 5 + j and found and len(deleted) <= j for j in apex_range}
+        planar = found and not deleted
+    if outer and not planar:
+        raise ConsistencyError("outerplanar graph reported non-planar")
     for j, val in apex.items():
         if j == 0 and val != planar:
             raise ConsistencyError("0-apex answer disagrees with planarity")

@@ -227,6 +227,16 @@ def test_verify_theorem_bad_n(monkeypatch, capsys):
     assert code == 2 and err
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_gen_rejects_an_empty_random_count(count, monkeypatch, capsys):
+    code, out, err = run_cli(
+        ["gen", "--random", "--n", "8", "--count", count], "", monkeypatch, capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "--count" in err
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_verify_theorem_rejects_empty_sample(samples, monkeypatch, capsys):
     code, out, err = run_cli(
@@ -266,6 +276,16 @@ def test_check_and_minor_do_not_import_networkx():
         "import scminor.cli\n"
         "assert 'networkx' not in sys.modules\n"
         "code = scminor.cli.main(['topo', '--apex', '0'])\n"
+        # edge counts settle P4 and random_sc(13, 1); sharp_4n(2), 8 vertices
+        # and 14 edges, is left to networkx
+        "assert 'networkx' not in sys.modules\n"
+        "import io\n"
+        "from scminor import random_sc, sharp_4n, write_graph6\n"
+        "sys.stdin = io.StringIO(write_graph6(random_sc(13, 1)) + '\\n')\n"
+        "code |= scminor.cli.main(['topo', '--apex', '2'])\n"
+        "assert 'networkx' not in sys.modules\n"
+        "sys.stdin = io.StringIO(write_graph6(sharp_4n(2)) + '\\n')\n"
+        "code |= scminor.cli.main(['topo'])\n"
         "assert 'networkx' in sys.modules\n"
         "sys.exit(code)\n"
     )

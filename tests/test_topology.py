@@ -24,7 +24,9 @@ from scminor import (
     sharp_4n,
     verify_minor_model,
 )
-from conftest import random_graph, sc_classes
+from conftest import all_labeled_graphs, random_graph, sc_classes
+from hypothesis import given, settings, strategies as st
+import networkx as nx
 import random
 
 
@@ -289,3 +291,87 @@ def test_none_found_targets_are_pinned():
     assert data["ik_certificate"] == {"status": "none_found", "target": "K7", "model": None}
     assert nonplanarity_witness(complete_graph(4)).target is None
     assert nonouterplanarity_witness(cycle_graph(5)).target is None
+
+
+def reference_planar(g: Graph, apex: bool = False) -> bool:
+    """networkx's planarity test on g, plus a vertex joined to all of g if
+    ``apex`` (outerplanarity), with no edge-count shortcut."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    if apex:
+        h.add_edges_from((g.n, v) for v in range(g.n))
+    return nx.check_planarity(h)[0]
+
+
+def test_counting_rules_agree_with_networkx_on_every_small_labelled_graph():
+    for n in range(6):
+        for g in all_labeled_graphs(n):
+            assert is_planar(g) == reference_planar(g), g
+            assert is_outerplanar(g) == reference_planar(g, apex=True), g
+
+
+def _maximal_graph(rng: random.Random, n: int, outer: bool) -> Graph:
+    """A random maximal outerplanar (2n - 3 edges) or maximal planar (3n - 6
+    edges) graph: start from a triangle, and join each further vertex to both
+    ends of an outer-cycle edge, or to the three corners of a face."""
+    edges = [(0, 1), (1, 2), (0, 2)]
+    faces = [(0, 1), (1, 2), (2, 0)] if outer else [(0, 1, 2), (0, 1, 2)]
+    for v in range(3, n):
+        face = faces.pop(rng.randrange(len(faces)))
+        edges += [(u, v) for u in face]
+        faces += [face[:i] + (v,) + face[i + 1:] for i in range(len(face))]
+    return Graph(n, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(3, 64),
+    st.integers(0, 7),
+    st.sampled_from(("empty", "outerplanar", "planar")),
+    st.randoms(use_true_random=False),
+)
+def test_counting_rules_agree_with_networkx_at_each_threshold(n, which, base, rng):
+    """m edges at or next to a threshold, taken from or added to a random
+    empty, maximal outerplanar or maximal planar graph, so that the graphs
+    at 2n - 3 and 3n - 6 edges can be outerplanar and planar."""
+    m = (5, 6, 8, 9, 2 * n - 3, 2 * n - 2, 3 * n - 6, 3 * n - 5)[which]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if m > len(pairs):
+        return
+    g = Graph(n) if base == "empty" else _maximal_graph(rng, n, base == "outerplanar")
+    edges = g.edges()
+    if len(edges) > m:
+        edges = rng.sample(edges, m)
+    else:
+        edges += rng.sample([e for e in pairs if not g.has_edge(*e)], m - len(edges))
+    g = Graph(n, edges)
+    assert is_planar(g) == reference_planar(g)
+    assert is_outerplanar(g) == reference_planar(g, apex=True)
+
+
+def test_report_planarity_agrees_with_networkx():
+    rng = random.Random(97)
+    graphs = [g for n in (1, 4, 5, 8, 9) for g in sc_classes(n)]
+    assert len(graphs) == 50
+    graphs += [random_graph(rng, rng.randrange(6, 12), 0.7) for _ in range(20)]
+    for g in graphs:
+        want = reference_planar(g), reference_planar(g, apex=True)
+        for apex_range in ((0, 1, 2), ()):
+            rep = report(g, apex_range=apex_range)
+            assert (rep.planar, rep.outerplanar) == want
+
+
+def test_report_tests_the_planarity_of_its_graph_once(monkeypatch):
+    calls = []
+    planar = scminor.topology.is_planar
+
+    def counted(h):
+        calls.append(h)
+        return planar(h)
+
+    monkeypatch.setattr(scminor.topology, "is_planar", counted)
+    for g in (g for n in (1, 4, 5, 8, 9) for g in sc_classes(n)):
+        calls.clear()
+        report(g, apex_range=(0, 1, 2))
+        assert sum(h == g for h in calls) == 1
