@@ -99,24 +99,28 @@ def verify_minor_model(g: Graph, model: MinorModel, target: Graph) -> ModelCheck
         return ModelCheck(
             False, f"{len(sets)} branch sets for a {target.n}-vertex target"
         )
+    adj = g._adj
     masks = []
+    reach = []  # reach[i]: every host vertex with a neighbour in set i
     seen = 0
     for i, s in enumerate(sets):
         if not s:
             return ModelCheck(False, f"branch set {i} is empty")
-        mask = 0
+        mask = nb = 0
         for v in s:
             if not (0 <= v < g.n):
                 return ModelCheck(False, f"branch set {i} leaves the host range")
             mask |= 1 << v
+            nb |= adj[v]
         if mask & seen:
             return ModelCheck(False, f"branch set {i} overlaps an earlier one")
         seen |= mask
         if not mask_is_connected(g, mask):
             return ModelCheck(False, f"branch set {i} is not connected")
         masks.append(mask)
+        reach.append(nb)
     for i, j in target.edges():
-        if not any(g.neighbor_mask(v) & masks[j] for v in sets[i]):
+        if not reach[i] & masks[j]:
             return ModelCheck(False, "no host edge between branch sets", (i, j))
     return ModelCheck(True)
 

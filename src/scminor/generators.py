@@ -23,7 +23,7 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .graphs import ConsistencyError, Graph, canonical_form
+from .graphs import ConsistencyError, Graph, canonical_form, check_order
 from .antimorphism import (
     Permutation,
     check_sachs,
@@ -36,11 +36,17 @@ LARGE_ENUMERATION_SIZES = (12, 13)
 
 
 def complete_graph(k: int) -> Graph:
-    return Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
+    check_order(k)
+    full = (1 << k) - 1
+    return Graph._from_adj(full & ~(1 << v) for v in range(k))
 
 
 def complete_bipartite(p: int, q: int) -> Graph:
-    return Graph(p + q, [(i, p + j) for i in range(p) for j in range(q)])
+    """Parts 0..p-1 and p..p+q-1, every cross pair an edge."""
+    if p < 0 or q < 0:
+        raise ValueError(f"part sizes must be >= 0, got {p} and {q}")
+    check_order(p + q)
+    return Graph._from_adj([((1 << q) - 1) << p] * p + [(1 << p) - 1] * q)
 
 
 def path_graph(k: int) -> Graph:

@@ -47,16 +47,21 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def check_order(n: int) -> None:
+    """Reject a vertex count that no Graph can have."""
+    if n < 0:
+        raise ValueError(f"vertex count must be >= 0, got {n}")
+    if n > MAX_VERTICES:
+        raise CapacityError(f"vertex count {n} exceeds the cap of {MAX_VERTICES}")
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
     __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {n}")
-        if n > MAX_VERTICES:
-            raise CapacityError(f"vertex count {n} exceeds the cap of {MAX_VERTICES}")
+        check_order(n)
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -133,16 +138,21 @@ def induced_subgraph(
     Returns the subgraph and the old-label -> new-label map.
     """
     keep = sorted(set(vertices))
+    kept = 0
     for v in keep:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range for n={g.n}")
-    relabel = {old: new for new, old in enumerate(keep)}
-    edges = [
-        (relabel[u], relabel[v])
-        for u, v in g.edges()
-        if u in relabel and v in relabel
-    ]
-    return Graph(len(keep), edges), relabel
+        kept |= 1 << v
+    # squeeze each dropped bit out of every kept mask, highest first, so the
+    # lower positions still to be dropped stay where they are
+    dropped = [v for v in range(g.n - 1, -1, -1) if not kept >> v & 1]
+    adj = []
+    for v in keep:
+        m = g._adj[v] & kept
+        for d in dropped:
+            m = m & ((1 << d) - 1) | m >> (d + 1) << d
+        adj.append(m)
+    return Graph._from_adj(adj), {old: new for new, old in enumerate(keep)}
 
 
 def contract_matching(

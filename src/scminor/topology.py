@@ -6,11 +6,16 @@ they can be: fewer than 9 edges means planar and fewer than 6 outerplanar
 more than 3n - 6 edges means not planar and more than 2n - 3 not
 outerplanar (Euler's formula).  What the counts leave open goes to
 networkx's planarity algorithm (a graph is outerplanar iff adding an apex
-joined to everything keeps it planar).  The minor oracle is only consulted
-when an explicit excluded-minor witness is requested.  Intrinsic linking
-and knotting are reported as one-sided certificates: a complete minor of
-order 6 (resp. 7) proves the property, its absence proves nothing, and the
-result type keeps that distinction explicit.
+joined to everything keeps it planar).  Excluded-minor witnesses are read
+off a Kuratowski subgraph, found with one linear-time networkx planarity
+test per vertex and per edge of the graph with its degree-2 paths
+smoothed, and verified; no exponential search runs for them.  Intrinsic linking and knotting are reported as one-sided
+certificates: a complete minor of order 6 (resp. 7) proves the property,
+its absence proves nothing, and the result type keeps that distinction
+explicit.  In a report, "none found" for K6 (resp. K7) may come from the
+apex search instead of the minor oracle: a j-apex graph has no K_{5+j}
+minor, since deleting j vertices removes at most j branch sets and a
+planar graph has no K5 minor.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import Graph, ConsistencyError, induced_subgraph
+from .graphs import Graph, ConsistencyError, induced_subgraph, iter_bits
 from .antimorphism import find_antimorphism
 from .construction import (
     MinorModel,
@@ -99,38 +104,144 @@ def is_outerplanar(g: Graph) -> bool:
     return _planar(g, apex=True)
 
 
-def _excluded_minor_witness(
-    g: Graph, targets: list[tuple[str, Graph]], budget: int, none_target: str | None = None
-) -> CertificateSearch:
-    spent = 0
-    for name, target in targets:
-        outcome = has_minor(MinorQuery(g, target, budget))
-        spent += outcome.expansions
-        if outcome.answer == YES:
-            return CertificateSearch(CERTIFICATE, name, outcome.model, spent)
-        if outcome.answer == BUDGET_EXCEEDED:
-            return CertificateSearch(INDETERMINATE, name, None, spent)
-    return CertificateSearch(NONE_FOUND, none_target, None, spent)
+def _smoothed_paths(adj: dict[int, set[int]]) -> dict[tuple[int, int], list[int]]:
+    """The paths between vertices of degree >= 3 through vertices of degree 2.
+
+    Keyed by their ends, lesser first, with the inner vertices listed from
+    that end.  A loop, or a second path between the same ends, is left out.
+    Every vertex must have degree >= 2, so each walk ends at a branch vertex.
+    """
+    paths: dict[tuple[int, int], list[int]] = {}
+    for u in sorted(adj):
+        if len(adj[u]) < 3:
+            continue
+        for v in sorted(adj[u]):
+            prev, inner = u, []
+            while len(adj[v]) == 2:
+                inner.append(v)
+                prev, v = v, next(w for w in adj[v] if w != prev)
+            if u < v:
+                paths.setdefault((u, v), inner)
+    return paths
+
+
+def _kuratowski_subgraph(adj: dict[int, set[int]]) -> dict[int, set[int]] | None:
+    """An edge-minimal non-planar subgraph of ``adj``, or None if it is planar.
+
+    Such a subgraph is a subdivision of K5 or K3,3.  Neither removing a
+    vertex of degree <= 1 nor smoothing a path through vertices of degree 2
+    into one edge changes planarity (nor does dropping a loop or a parallel
+    path), so the graph is reduced that way first.  Then each vertex, and
+    after that each edge, of the reduced graph is removed unless that makes
+    it planar, by networkx's linear-time test; more than 3n - 6 edges on
+    n >= 3 vertices answer it without the test.  An edge kept is needed,
+    and stays so as others go, so one pass leaves a minimal subgraph.  Its
+    edges are expanded back into their paths.
+    """
+    import networkx as nx
+
+    adj = {v: set(nb) for v, nb in adj.items()}
+    low = [v for v, nb in adj.items() if len(nb) < 2]
+    while low:
+        v = low.pop()
+        for w in adj.pop(v, ()):
+            adj[w].discard(v)
+            if len(adj[w]) == 1:
+                low.append(w)
+    paths = _smoothed_paths(adj)
+    reduced = nx.Graph(list(paths))
+
+    def planar() -> bool:
+        n = reduced.number_of_nodes()
+        if n >= 3 and reduced.number_of_edges() > 3 * n - 6:
+            return False
+        return nx.check_planarity(reduced)[0]
+
+    if planar():
+        return None
+    for v in list(reduced):
+        edges = list(reduced.edges(v))
+        reduced.remove_node(v)
+        if planar():
+            reduced.add_edges_from(edges)
+    for e in list(reduced.edges()):
+        reduced.remove_edge(*e)
+        if planar():
+            reduced.add_edge(*e)
+    sub: dict[int, set[int]] = {}
+    for e in reduced.edges():
+        u, w = sorted(e)
+        walk = [u, *paths[u, w], w]
+        for a, b in zip(walk, walk[1:]):
+            sub.setdefault(a, set()).add(b)
+            sub.setdefault(b, set()).add(a)
+    return sub
+
+
+def _kuratowski_witness(g: Graph, apex: bool) -> CertificateSearch:
+    """A verified K5 or K3,3 minor of g, or with ``apex`` a K4 or K2,3 one.
+
+    The Kuratowski subgraph is taken from g, plus the apex, vertex g.n,
+    joined to all of g if ``apex``.  Its branch vertices are those of
+    degree at least 3; the inner vertices of each subdivided path join the
+    branch set of the path's lesser end, so every set is connected and
+    every path joins two sets.  With ``apex`` one set is dropped: the one
+    holding the apex, else the last.  That leaves K4 of K5 and K2,3 of K3,3,
+    and no kept set holds the apex: as the greatest label it is a branch
+    vertex alone or an inner vertex of a path, which belongs to that path's
+    lesser end.
+    """
+    if g.num_edges < (6 if apex else 9):
+        return CertificateSearch(NONE_FOUND)
+    adj = {v: set(iter_bits(g._adj[v])) for v in range(g.n)}
+    if apex:
+        adj[g.n] = set(range(g.n))
+        for v in range(g.n):
+            adj[v].add(g.n)
+    sub = _kuratowski_subgraph(adj)
+    if sub is None:
+        return CertificateSearch(NONE_FOUND)
+    paths = _smoothed_paths(sub)
+    branch = sorted({b for ends in paths for b in ends})
+    sets = {b: {b} for b in branch}
+    for (u, _), inner in paths.items():
+        sets[u].update(inner)
+    if apex:
+        branch.remove(next((b for b in branch if g.n in sets[b]), branch[-1]))
+    if len(sets) == 5:
+        name, target = ("K4", complete_graph(4)) if apex else ("K5", complete_graph(5))
+    else:
+        # the parts of K3,3 (K2,3 with ``apex``), the smaller first
+        first = branch[0]
+        part = [b for b in branch if (min(first, b), max(first, b)) not in paths]
+        rest = [b for b in branch if b not in part]
+        branch = part + rest if len(part) <= len(rest) else rest + part
+        name, target = ("K2,3", complete_bipartite(2, 3)) if apex else ("K3,3", complete_bipartite(3, 3))
+    model = MinorModel(tuple(frozenset(sets[b]) for b in branch))
+    check = verify_minor_model(g, model, target)
+    if not check.ok:
+        raise ConsistencyError(f"Kuratowski witness failed verification: {check.reason}")
+    return CertificateSearch(CERTIFICATE, name, model)
 
 
 def nonplanarity_witness(g: Graph, budget: int = DEFAULT_BUDGET) -> CertificateSearch:
-    """A verified K5 or K3,3 minor; one exists in every non-planar graph."""
-    return _excluded_minor_witness(
-        g,
-        [("K5", complete_graph(5)), ("K3,3", complete_bipartite(3, 3))],
-        budget,
-    )
+    """A verified K5 or K3,3 minor; one exists in every non-planar graph.
+
+    Read off a Kuratowski subgraph without search, so ``budget`` is unused
+    and the status is never indeterminate.
+    """
+    return _kuratowski_witness(g, apex=False)
 
 
 def nonouterplanarity_witness(
     g: Graph, budget: int = DEFAULT_BUDGET
 ) -> CertificateSearch:
-    """A verified K4 or K2,3 minor; one exists in every non-outerplanar graph."""
-    return _excluded_minor_witness(
-        g,
-        [("K4", complete_graph(4)), ("K2,3", complete_bipartite(2, 3))],
-        budget,
-    )
+    """A verified K4 or K2,3 minor; one exists in every non-outerplanar graph.
+
+    Read off a Kuratowski subgraph of g plus an apex, without search, so
+    ``budget`` is unused and the status is never indeterminate.
+    """
+    return _kuratowski_witness(g, apex=True)
 
 
 def _constructive_model(g: Graph, order: int) -> MinorModel | None:
@@ -143,12 +254,18 @@ def _constructive_model(g: Graph, order: int) -> MinorModel | None:
 
 
 def _complete_certificate(
-    g: Graph, order: int, budget: int, model: MinorModel | None
+    g: Graph,
+    order: int,
+    budget: int,
+    model: MinorModel | None,
+    deleted: frozenset[int] | None = None,
 ) -> CertificateSearch:
     """Verified complete minor of the given order, constructively when possible.
 
     A ``model`` with at least ``order`` branch sets skips the oracle: the
-    certificate is its first ``order`` branch sets, verified again.
+    certificate is its first ``order`` branch sets, verified again.  A
+    planarising deletion set ``deleted`` of at most ``order - 5`` vertices
+    answers none found, as no K_order minor survives it.
     """
     name = f"K{order}"
     if model is not None and model.k >= order:
@@ -157,18 +274,32 @@ def _complete_certificate(
         if not check.ok:
             raise ConsistencyError(f"trimmed constructive certificate failed: {check.reason}")
         return CertificateSearch(CERTIFICATE, name, prefix)
+    if deleted is not None and len(deleted) <= order - 5:
+        return CertificateSearch(NONE_FOUND, name)
     if g.n > ORACLE_HOST_CAP:
         return CertificateSearch(INDETERMINATE, name)
-    return _excluded_minor_witness(g, [(name, complete_graph(order))], budget, name)
+    outcome = has_minor(MinorQuery(g, complete_graph(order), budget))
+    if outcome.answer == YES:
+        return CertificateSearch(CERTIFICATE, name, outcome.model, outcome.expansions)
+    status = INDETERMINATE if outcome.answer == BUDGET_EXCEEDED else NONE_FOUND
+    return CertificateSearch(status, name, None, outcome.expansions)
 
 
 def il_certificate(g: Graph, budget: int = DEFAULT_BUDGET) -> CertificateSearch:
-    """Sufficient certificate that g is intrinsically linked: a K6 minor."""
+    """Sufficient certificate that g is intrinsically linked: a K6 minor.
+
+    No apex search runs here, unlike in ``report``, so a host above
+    ``ORACLE_HOST_CAP`` that the constructive model does not settle stays
+    indeterminate.
+    """
     return _complete_certificate(g, 6, budget, _constructive_model(g, 6))
 
 
 def ik_certificate(g: Graph, budget: int = DEFAULT_BUDGET) -> CertificateSearch:
-    """Sufficient certificate that g is intrinsically knotted: a K7 minor."""
+    """Sufficient certificate that g is intrinsically knotted: a K7 minor.
+
+    As with ``il_certificate``, no apex search runs here.
+    """
     return _complete_certificate(g, 7, budget, _constructive_model(g, 7))
 
 
@@ -233,27 +364,29 @@ def report(
     not j-apex: deleting j vertices removes at most j branch sets, so a K5
     minor survives.  What is left is answered by one apex search at the
     largest open j: its deletion set is a smallest one, so it answers every
-    smaller j too.
+    smaller j too.  The search runs before any oracle certificate, and the
+    same argument turns it around: a deletion set of at most 1 (resp. 2)
+    vertices means no K6 (resp. K7) minor, answered none found.  The oracle
+    runs only for the orders that the model and the deletion set leave open.
     """
     for j in apex_range:
         _check_apex_parameter(j)
     outer = is_outerplanar(g)
-    model, half = _constructive_model(g, 6), (g.n + 1) // 2
-    # il_certificate / ik_certificate search where half >= their order: reuse this one.
-    il = _complete_certificate(g, 6, budget, model) if half >= 6 else il_certificate(g, budget)
-    ik = _complete_certificate(g, 7, budget, model) if half >= 7 else ik_certificate(g, budget)
-    if ik.status == CERTIFICATE and il.status == NONE_FOUND:
-        raise ConsistencyError("complete minor of order 7 without one of order 6")
-    t = max((m.k for m in (model, il.model, ik.model) if m is not None), default=0)
+    model = _constructive_model(g, 6)
+    t = 0 if model is None else model.k
     top = max((j for j in apex_range if t < 5 + j), default=None)
     if top is None:
-        apex = {j: False for j in apex_range}
         planar = is_planar(g)
+        deleted = frozenset() if planar else None
     else:
         # the search tests g itself first, so it answers planarity too
-        found, deleted = is_n_apex(g, top)
-        apex = {j: t < 5 + j and found and len(deleted) <= j for j in apex_range}
-        planar = found and not deleted
+        _, deleted = is_n_apex(g, top)
+        planar = deleted == frozenset()
+    apex = {j: t < 5 + j and deleted is not None and len(deleted) <= j for j in apex_range}
+    il = _complete_certificate(g, 6, budget, model, deleted)
+    ik = _complete_certificate(g, 7, budget, model, deleted)
+    if ik.status == CERTIFICATE and il.status == NONE_FOUND:
+        raise ConsistencyError("complete minor of order 7 without one of order 6")
     if outer and not planar:
         raise ConsistencyError("outerplanar graph reported non-planar")
     for j, val in apex.items():

@@ -318,3 +318,85 @@ def reference_clique_minor_sets(g: Graph, k: int, budget) -> tuple[int, ...] | N
         return place(done, avail & ~(1 << anchor))
 
     return place((), (1 << g.n) - 1)
+
+
+def reference_report(g: Graph, apex_range: tuple[int, ...] = (0, 1, 2), budget: int = 10**8):
+    """``topology.report`` as it was before the apex search came first.
+
+    The body is kept verbatim: the K6 and K7 certificates come from the
+    constructive model or the oracle, and an apex search runs afterwards
+    only for the j that no certificate settles.  The apex-first report must
+    return the same ``TopologyReport``.
+    """
+    from scminor.graphs import ConsistencyError
+    from scminor.topology import (
+        CERTIFICATE,
+        NONE_FOUND,
+        TopologyReport,
+        _check_apex_parameter,
+        _complete_certificate,
+        _constructive_model,
+        ik_certificate,
+        il_certificate,
+        is_n_apex,
+        is_outerplanar,
+        is_planar,
+    )
+
+    for j in apex_range:
+        _check_apex_parameter(j)
+    outer = is_outerplanar(g)
+    model, half = _constructive_model(g, 6), (g.n + 1) // 2
+    il = _complete_certificate(g, 6, budget, model) if half >= 6 else il_certificate(g, budget)
+    ik = _complete_certificate(g, 7, budget, model) if half >= 7 else ik_certificate(g, budget)
+    if ik.status == CERTIFICATE and il.status == NONE_FOUND:
+        raise ConsistencyError("complete minor of order 7 without one of order 6")
+    t = max((m.k for m in (model, il.model, ik.model) if m is not None), default=0)
+    top = max((j for j in apex_range if t < 5 + j), default=None)
+    if top is None:
+        apex = {j: False for j in apex_range}
+        planar = is_planar(g)
+    else:
+        found, deleted = is_n_apex(g, top)
+        apex = {j: t < 5 + j and found and len(deleted) <= j for j in apex_range}
+        planar = found and not deleted
+    if outer and not planar:
+        raise ConsistencyError("outerplanar graph reported non-planar")
+    for j, val in apex.items():
+        if j == 0 and val != planar:
+            raise ConsistencyError("0-apex answer disagrees with planarity")
+    return TopologyReport(outer, planar, il, ik, apex)
+
+
+def reference_verify_minor_model(g: Graph, model, target: Graph):
+    """``construction.verify_minor_model`` as it was before each branch set
+    carried one neighbourhood mask: the body is kept verbatim, testing each
+    target edge vertex by vertex over the first set."""
+    from scminor.construction import ModelCheck
+    from scminor.graphs import mask_is_connected
+
+    sets = model.branch_sets
+    if len(sets) != target.n:
+        return ModelCheck(
+            False, f"{len(sets)} branch sets for a {target.n}-vertex target"
+        )
+    masks = []
+    seen = 0
+    for i, s in enumerate(sets):
+        if not s:
+            return ModelCheck(False, f"branch set {i} is empty")
+        mask = 0
+        for v in s:
+            if not (0 <= v < g.n):
+                return ModelCheck(False, f"branch set {i} leaves the host range")
+            mask |= 1 << v
+        if mask & seen:
+            return ModelCheck(False, f"branch set {i} overlaps an earlier one")
+        seen |= mask
+        if not mask_is_connected(g, mask):
+            return ModelCheck(False, f"branch set {i} is not connected")
+        masks.append(mask)
+    for i, j in target.edges():
+        if not any(g.neighbor_mask(v) & masks[j] for v in sets[i]):
+            return ModelCheck(False, "no host edge between branch sets", (i, j))
+    return ModelCheck(True)

@@ -314,3 +314,22 @@ def test_topo_apex_3_on_a_61_vertex_sc_graph_needs_no_apex_search(monkeypatch, c
     assert code == 0
     assert json.loads(out)["apex_numbers"] == {str(j): False for j in range(4)}
     assert calls == []
+
+
+def test_topo_settles_k6_and_k7_on_an_apex_host_above_the_oracle_cap(monkeypatch, capsys):
+    # vertex 0 joined to all of a maximal planar graph on 1..19 (a strip of
+    # triangles, and vertex 1 joined to the far side of it): not SC (70
+    # edges, not 95), not planar (more than 3n - 6 = 54 edges), and planar
+    # once vertex 0 is gone.  Above the oracle's 13-vertex cap only the apex
+    # search can refute K6 and K7; before it, both were indeterminate (exit 3).
+    base = [(v, v + 1) for v in range(1, 19)] + [(v, v + 2) for v in range(1, 18)]
+    base += [(1, v) for v in range(4, 20)]
+    g = scminor.Graph(20, base + [(0, v) for v in range(1, 20)])
+    assert g.num_edges == 70 and scminor.is_n_apex(g, 1) == (True, frozenset({0}))
+    code, out, _ = run_cli(["topo", "--json"], write_graph6(g) + "\n", monkeypatch, capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["il_certificate"] == {"status": "none_found", "target": "K6", "model": None}
+    assert data["ik_certificate"] == {"status": "none_found", "target": "K7", "model": None}
+    assert data["planar"] is False
+    assert data["apex_numbers"] == {"0": False, "1": True, "2": True}

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scminor import (
     ConsistencyError,
@@ -27,7 +28,7 @@ from scminor import (
     verify_minor_model,
 )
 from scminor.generators import OrbitAssignment
-from conftest import random_sc_batch, sc_classes
+from conftest import random_graph, random_sc_batch, reference_verify_minor_model, sc_classes
 
 
 def _rho_and_cycles(g):
@@ -232,6 +233,29 @@ def test_verify_minor_model_negative_cases():
         g, MinorModel((frozenset({0}), frozenset({9}))), k2
     )
     assert not out_of_range.ok and "range" in out_of_range.reason
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 5), st.floats(0.0, 1.0), st.randoms(use_true_random=False))
+def test_verify_minor_model_equals_the_vertex_by_vertex_check(n, k, p, rng):
+    """Same verdict, reason and first failing pair as the reference, on
+    random sets: mostly a random partition of the vertices into connected or
+    disconnected pieces, sometimes overlapping, empty or out of range."""
+    g = random_graph(rng, n, p)
+    target = random_graph(rng, k, rng.random())
+    owner = [rng.randrange(k + 1) for _ in range(n)]
+    sets = [{v for v in range(n) if owner[v] == i} for i in range(k)]
+    for s in sets:
+        if rng.random() < 0.1:
+            s.add(rng.randrange(-1, n + 2))
+    if rng.random() < 0.1:
+        sets.append({rng.randrange(n)})
+    model = MinorModel(tuple(frozenset(s) for s in sets))
+    assert verify_minor_model(g, model, target) == reference_verify_minor_model(g, model, target)
+    # singletons pass every set test, so only a target edge can fail
+    model = MinorModel(tuple(frozenset({v}) for v in range(n)))
+    other = random_graph(rng, n, rng.random())
+    assert verify_minor_model(g, model, other) == reference_verify_minor_model(g, model, other)
 
 
 def test_verify_minor_model_positive_cases():

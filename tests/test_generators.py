@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import scminor.generators
 from scminor import (
+    CapacityError,
     ConsistencyError,
     Graph,
     OrbitAssignment,
@@ -30,6 +31,22 @@ from scminor import (
 )
 from scminor.generators import _bit_action, _centraliser_generators
 from conftest import reference_enumerate_sc, sc_classes
+
+
+def test_mask_builders_equal_the_edge_list_builds():
+    for k in range(65):
+        assert complete_graph(k) == Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
+        for p in range(k + 1):
+            q = k - p
+            assert complete_bipartite(p, q) == Graph(k, [(i, p + j) for i in range(p) for j in range(q)])
+    with pytest.raises(CapacityError):
+        complete_graph(65)
+    with pytest.raises(CapacityError):
+        complete_bipartite(40, 25)
+    with pytest.raises(ValueError):
+        complete_graph(-1)
+    with pytest.raises(ValueError):
+        complete_bipartite(-1, 3)
 
 
 def test_standard_graphs():

@@ -86,6 +86,17 @@ def test_induced_subgraph():
         induced_subgraph(path_graph(4), [0, 4])
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 64), st.floats(0.0, 1.0), st.integers(0, 2**32))
+def test_induced_subgraph_equals_the_edge_list_build(n, p, seed):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, p)
+    keep = [v for v in range(n) if rng.random() < p]
+    relabel = {old: new for new, old in enumerate(keep)}
+    want = Graph(len(keep), [(relabel[u], relabel[v]) for u, v in g.edges() if u in relabel and v in relabel])
+    assert induced_subgraph(g, reversed(keep)) == (want, relabel)
+
+
 def test_contract_matching_fixed_cases():
     g, branch = contract_matching(path_graph(4), [(0, 1), (2, 3)])
     assert g == complete_graph(2)

@@ -1,3 +1,4 @@
+import functools
 from collections import Counter
 
 import pytest
@@ -24,7 +25,7 @@ from scminor import (
     sharp_4n,
     verify_minor_model,
 )
-from conftest import all_labeled_graphs, random_graph, sc_classes
+from conftest import all_labeled_graphs, iso_classes_up_to, random_graph, reference_report, sc_classes
 from hypothesis import given, settings, strategies as st
 import networkx as nx
 import random
@@ -375,3 +376,111 @@ def test_report_tests_the_planarity_of_its_graph_once(monkeypatch):
         calls.clear()
         report(g, apex_range=(0, 1, 2))
         assert sum(h == g for h in calls) == 1
+
+
+def _relabelled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_apex_first_report_equals_the_oracle_first_reference(monkeypatch):
+    """The same report, with no more oracle expansions, on every apex range.
+
+    Where the apex search settles K6 or K7 the reference's exhaustive oracle
+    answer is replaced by none found with 0 expansions; everything else,
+    expansion counts included, must be equal.  The oracle and the apex
+    search are deterministic, so both share their answers through a cache."""
+    for name in ("has_minor", "is_n_apex"):
+        monkeypatch.setattr(scminor.topology, name, functools.cache(getattr(scminor.topology, name)))
+    rng = random.Random(23)
+    graphs = [_relabelled(g, rng) for n in (1, 4, 5, 8, 9) for g in sc_classes(n)]
+    assert len(graphs) == 50
+    graphs += [random_sc(n, s) for n in (12, 13) for s in range(20)]
+    graphs += [random_graph(rng, rng.randrange(6, 12), 0.7) for _ in range(20)]
+    for g in graphs:
+        for apex_range in ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3)):
+            got, want = report(g, apex_range), reference_report(g, apex_range)
+            assert got.to_json_dict() == want.to_json_dict()
+            for mine, theirs in ((got.il_certificate, want.il_certificate), (got.ik_certificate, want.ik_certificate)):
+                assert mine == theirs or (mine.expansions == 0 and mine.status == "none_found")
+
+
+def test_report_asks_no_oracle_on_the_nine_vertex_classes(monkeypatch):
+    calls = []
+    oracle = scminor.topology.has_minor
+
+    def counted(query):
+        calls.append(query)
+        return oracle(query)
+
+    monkeypatch.setattr(scminor.topology, "has_minor", counted)
+    for g in sc_classes(9):
+        rep = report(g, apex_range=(0, 1, 2))
+        assert rep.il_certificate.status == rep.ik_certificate.status == "none_found"
+    assert len(sc_classes(9)) == 36 and not calls
+
+
+def _subdivided(h: Graph, times: int) -> Graph:
+    """h with every edge replaced by a path of ``times`` inner vertices."""
+    edges, n = [], h.n
+    for u, v in h.edges():
+        walk = [u, *range(n, n + times), v]
+        edges += zip(walk, walk[1:])
+        n += times
+    return Graph(n, edges)
+
+
+def test_kuratowski_witnesses_of_subdivisions():
+    g = _subdivided(complete_bipartite(3, 3), 2)
+    assert (g.n, g.num_edges) == (24, 27)
+    w = nonplanarity_witness(g)
+    assert (w.status, w.target, w.expansions) == ("certificate", "K3,3", 0)
+    assert verify_minor_model(g, w.model, complete_bipartite(3, 3)).ok
+    ow = nonouterplanarity_witness(g)
+    assert ow.status == "certificate"
+
+    g = _subdivided(complete_graph(5), 1)
+    w = nonplanarity_witness(g)
+    assert (w.status, w.target) == ("certificate", "K5")
+    assert verify_minor_model(g, w.model, complete_graph(5)).ok
+    # a subdivided cycle stays outerplanar, a subdivided K4 does not
+    assert nonouterplanarity_witness(_subdivided(cycle_graph(5), 3)).status == "none_found"
+    w = nonouterplanarity_witness(_subdivided(complete_graph(4), 2))
+    assert w.status == "certificate" and w.target in ("K4", "K2,3")
+
+
+_WITNESS_TARGETS = {
+    "K5": complete_graph(5),
+    "K3,3": complete_bipartite(3, 3),
+    "K4": complete_graph(4),
+    "K2,3": complete_bipartite(2, 3),
+}
+
+
+def _check_kuratowski_witnesses(g: Graph) -> None:
+    for witness, apex, names in (
+        (nonplanarity_witness, False, ("K5", "K3,3")),
+        (nonouterplanarity_witness, True, ("K4", "K2,3")),
+    ):
+        w = witness(g)
+        assert (w.status == "none_found") == reference_planar(g, apex)
+        if w.status == "none_found":
+            assert (w.target, w.model) == (None, None)
+        else:
+            assert w.status == "certificate" and w.target in names
+            assert verify_minor_model(g, w.model, _WITNESS_TARGETS[w.target]).ok
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 12), st.floats(0.0, 1.0), st.integers(0, 2**32))
+def test_kuratowski_witnesses_agree_with_networkx(n, p, seed):
+    _check_kuratowski_witnesses(random_graph(random.Random(seed), n, p))
+
+
+def test_kuratowski_witnesses_on_every_graph_up_to_six_vertices():
+    # includes K2,4 plus the edge between its two hubs: planar, and reduced
+    # to a single edge, where the 3n - 6 bound does not hold
+    for graphs in iso_classes_up_to(6).values():
+        for g in graphs:
+            _check_kuratowski_witnesses(g)
