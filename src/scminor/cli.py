@@ -14,7 +14,14 @@ import os
 import sys
 from collections.abc import Iterator
 
-from .graphs import CapacityError, Graph, Graph6Error, parse_graph6, write_graph6
+from .graphs import (
+    GRAPH6_WHITESPACE,
+    CapacityError,
+    Graph,
+    Graph6Error,
+    parse_graph6,
+    write_graph6,
+)
 from .antimorphism import check_sachs, cycle_decomposition, find_antimorphism
 from .construction import build_plan, guaranteed_minor, realize_minor
 from .generators import (
@@ -40,13 +47,13 @@ class _InputError(Exception):
         self.lineno = lineno
 
 
-def _iter_graphs(path: str) -> Iterator[tuple[int, Graph]]:
-    """Yield (line number, graph) per non-blank line, decoding line by line.
+def _iter_graphs(path: str) -> Iterator[Graph]:
+    """Yield the graph on each non-blank line, decoding line by line.
 
     A file, or a real stdin, is read as bytes and each line is decoded on its
     own, so the lines before a non-ASCII one are still answered and the bad
     line is reported by number.  A text stream put in place of stdin is read
-    as it is.
+    as it is.  Only ASCII whitespace around a line is ignored.
     """
     if path == "-":
         stream = getattr(sys.stdin, "buffer", sys.stdin)
@@ -66,11 +73,11 @@ def _iter_graphs(path: str) -> Iterator[tuple[int, Graph]]:
                     lineno,
                     f"non-ASCII byte 0x{raw[exc.start]:02x} at column {exc.start + 1}",
                 ) from exc
-            line = line.strip()
+            line = line.strip(GRAPH6_WHITESPACE)
             if not line:
                 continue
             try:
-                yield lineno, parse_graph6(line)
+                yield parse_graph6(line)
             except (Graph6Error, CapacityError) as exc:
                 raise _InputError(lineno, str(exc)) from exc
     finally:
@@ -82,8 +89,7 @@ def _emit(payload: dict, plain: str, as_json: bool) -> None:
     print(json.dumps(payload) if as_json else plain)
 
 
-def _resolve_budget(args: argparse.Namespace) -> int:
-    budget = args.budget
+def _resolve_budget(budget: int | None) -> int:
     if budget is None:
         raw = os.environ.get("SCMINOR_BUDGET")
         if not raw:
@@ -97,97 +103,118 @@ def _resolve_budget(args: argparse.Namespace) -> int:
     return budget
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def _answer_each(args: argparse.Namespace) -> int:
+    """Run a per-graph verb: answer each input graph with ``args.answer``,
+    print the answer, and exit with the worst of the answers' codes."""
+    if "budget" in args:
+        args.budget = _resolve_budget(args.budget)
+    if "apex" in args and not 0 <= args.apex <= APEX_CAP:
+        raise _InputError(0, f"--apex must be in 0..{APEX_CAP}, got {args.apex}")
     code = EXIT_OK
-    for _, g in _iter_graphs(args.input):
-        rho = find_antimorphism(g)
-        if rho is None:
-            _emit(
-                {"n": g.n, "self_complementary": False},
-                "self-complementary: no",
-                args.json,
-            )
-            code = EXIT_NEGATIVE
-            continue
-        sachs = check_sachs(cycle_decomposition(rho), g.n)
-        notation = rho.cycle_notation()
-        _emit(
-            {
-                "n": g.n,
-                "self_complementary": True,
-                "rho": notation,
-                "sachs_ok": sachs.ok,
-            },
-            f"self-complementary: yes, rho={notation}, "
-            f"sachs={'ok' if sachs.ok else sachs.reason}",
-            args.json,
-        )
+    for g in _iter_graphs(args.input):
+        payload, plain, graph_code = args.answer(g, args)
+        _emit(payload, plain, args.json)
+        code = max(code, graph_code)
     return code
 
 
-def cmd_minor(args: argparse.Namespace) -> int:
-    code = EXIT_OK
-    for _, g in _iter_graphs(args.input):
-        rho = find_antimorphism(g)
-        if rho is None:
-            _emit(
-                {"self_complementary": False, "model": None},
-                "not self-complementary",
-                args.json,
-            )
-            code = EXIT_NEGATIVE
-            continue
-        plan = build_plan(g, rho)
-        model = realize_minor(g, plan)
-        notation = rho.cycle_notation()
-        lines = [f"rho={notation}"]
-        for part in plan.per_cycle:
-            cyc = " ".join(str(v) for v in part.cycle)
-            edges = " ".join(f"({u} {v})" for u, v in part.matching)
-            lines.append(
-                f"cycle ({cyc}): generator {part.generator}, "
-                f"shift {part.shift}, contract {edges}"
-            )
-        if plan.fixed_vertex is not None:
-            lines.append(f"fixed vertex: {plan.fixed_vertex}")
-        lines.append(model.to_json())
-        _emit(
-            {"self_complementary": True, "rho": notation, "model": model.to_json_dict()},
-            "\n".join(lines),
-            args.json,
-        )
-    return code
+def cmd_check(g: Graph, args: argparse.Namespace) -> tuple[dict, str, int]:
+    rho = find_antimorphism(g)
+    if rho is None:
+        payload = {"n": g.n, "self_complementary": False}
+        return payload, "self-complementary: no", EXIT_NEGATIVE
+    sachs = check_sachs(cycle_decomposition(rho), g.n)
+    notation = rho.cycle_notation()
+    return (
+        {"n": g.n, "self_complementary": True, "rho": notation, "sachs_ok": sachs.ok},
+        f"self-complementary: yes, rho={notation}, "
+        f"sachs={'ok' if sachs.ok else sachs.reason}",
+        EXIT_OK,
+    )
 
 
-def cmd_hadwiger(args: argparse.Namespace) -> int:
-    budget = _resolve_budget(args)
-    code = EXIT_OK
-    for _, g in _iter_graphs(args.input):
-        outcome = hadwiger(g, budget)
-        witness = outcome.witness
-        if outcome.exact:
-            plain = f"hadwiger: {outcome.value}"
-        else:
-            plain = (
-                f"hadwiger: >= {outcome.value} (budget exhausted, "
-                f"upper bound {outcome.upper_bound})"
-            )
-        if witness is not None:
-            plain += f"\nwitness: {witness.to_json()}"
-        _emit(
-            {
-                "hadwiger": outcome.value,
-                "exact": outcome.exact,
-                "upper_bound": outcome.upper_bound,
-                "expansions": outcome.expansions,
-                "witness": None if witness is None else witness.to_json_dict(),
-            },
-            plain,
-            args.json,
+def cmd_minor(g: Graph, args: argparse.Namespace) -> tuple[dict, str, int]:
+    rho = find_antimorphism(g)
+    if rho is None:
+        payload = {"self_complementary": False, "model": None}
+        return payload, "not self-complementary", EXIT_NEGATIVE
+    plan = build_plan(g, rho)
+    model = realize_minor(g, plan)
+    notation = rho.cycle_notation()
+    lines = [f"rho={notation}"]
+    for part in plan.per_cycle:
+        cyc = " ".join(str(v) for v in part.cycle)
+        edges = " ".join(f"({u} {v})" for u, v in part.matching)
+        lines.append(
+            f"cycle ({cyc}): generator {part.generator}, "
+            f"shift {part.shift}, contract {edges}"
         )
-        if not outcome.exact:
-            code = EXIT_BUDGET
-    return code
+    if plan.fixed_vertex is not None:
+        lines.append(f"fixed vertex: {plan.fixed_vertex}")
+    lines.append(model.to_json())
+    return (
+        {"self_complementary": True, "rho": notation, "model": model.to_json_dict()},
+        "\n".join(lines),
+        EXIT_OK,
+    )
+
+
+def cmd_hadwiger(g: Graph, args: argparse.Namespace) -> tuple[dict, str, int]:
+    outcome = hadwiger(g, args.budget)
+    witness = outcome.witness
+    if outcome.exact:
+        plain = f"hadwiger: {outcome.value}"
+    else:
+        plain = (
+            f"hadwiger: >= {outcome.value} (budget exhausted, "
+            f"upper bound {outcome.upper_bound})"
+        )
+    if witness is not None:
+        plain += f"\nwitness: {witness.to_json()}"
+    return (
+        {
+            "hadwiger": outcome.value,
+            "exact": outcome.exact,
+            "upper_bound": outcome.upper_bound,
+            "expansions": outcome.expansions,
+            "witness": None if witness is None else witness.to_json_dict(),
+        },
+        plain,
+        EXIT_OK if outcome.exact else EXIT_BUDGET,
+    )
+
+
+def _cert_text(c) -> str:
+    if c.status == CERTIFICATE:
+        return c.target
+    return "none" if c.status == NONE_FOUND else c.status
+
+
+def cmd_topo(g: Graph, args: argparse.Namespace) -> tuple[dict, str, int]:
+    rep = report(g, apex_range=tuple(range(args.apex + 1)), budget=args.budget)
+    apex_text = " ".join(
+        f"apex{j}={'yes' if v else 'no'}" for j, v in sorted(rep.apex_numbers.items())
+    )
+    indeterminate = INDETERMINATE in (rep.il_certificate.status, rep.ik_certificate.status)
+    return (
+        rep.to_json_dict(),
+        f"outerplanar={'yes' if rep.outerplanar else 'no'} "
+        f"planar={'yes' if rep.planar else 'no'} "
+        f"il={_cert_text(rep.il_certificate)} "
+        f"ik={_cert_text(rep.ik_certificate)} "
+        f"{apex_text}",
+        EXIT_BUDGET if indeterminate else EXIT_OK,
+    )
+
+
+def _print_graph6(graphs: list[Graph], as_json: bool) -> int:
+    try:
+        texts = [write_graph6(g) for g in graphs]
+    except CapacityError as exc:  # more vertices than the short form holds
+        raise _InputError(0, str(exc)) from exc
+    for text in texts:
+        _emit({"graph6": text}, text, as_json)
+    return EXIT_OK
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -200,12 +227,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
             raise _InputError(0, f"--count must be positive, got {args.count}")
         else:
             graphs = [random_sc(args.n, args.seed + i) for i in range(args.count)]
-        texts = [write_graph6(g) for g in graphs]
-    except (ValueError, CapacityError) as exc:
+    except ValueError as exc:
         raise _InputError(0, str(exc)) from exc
-    for text in texts:
-        _emit({"graph6": text}, text, args.json)
-    return EXIT_OK
+    return _print_graph6(graphs, args.json)
 
 
 def cmd_enum(args: argparse.Namespace) -> int:
@@ -213,42 +237,7 @@ def cmd_enum(args: argparse.Namespace) -> int:
         graphs = enumerate_sc(args.n, allow_large=args.allow_large)
     except ValueError as exc:
         raise _InputError(0, str(exc)) from exc
-    for g in graphs:
-        text = write_graph6(g)
-        _emit({"graph6": text}, text, args.json)
-    return EXIT_OK
-
-
-def _cert_text(c) -> str:
-    if c.status == CERTIFICATE:
-        return c.target
-    return "none" if c.status == NONE_FOUND else c.status
-
-
-def cmd_topo(args: argparse.Namespace) -> int:
-    budget = _resolve_budget(args)
-    if not 0 <= args.apex <= APEX_CAP:
-        raise _InputError(0, f"--apex must be in 0..{APEX_CAP}, got {args.apex}")
-    apex_range = tuple(range(args.apex + 1))
-    code = EXIT_OK
-    for _, g in _iter_graphs(args.input):
-        rep = report(g, apex_range=apex_range, budget=budget)
-        apex_text = " ".join(
-            f"apex{j}={'yes' if v else 'no'}"
-            for j, v in sorted(rep.apex_numbers.items())
-        )
-        _emit(
-            rep.to_json_dict(),
-            f"outerplanar={'yes' if rep.outerplanar else 'no'} "
-            f"planar={'yes' if rep.planar else 'no'} "
-            f"il={_cert_text(rep.il_certificate)} "
-            f"ik={_cert_text(rep.ik_certificate)} "
-            f"{apex_text}",
-            args.json,
-        )
-        if INDETERMINATE in (rep.il_certificate.status, rep.ik_certificate.status):
-            code = EXIT_BUDGET
-    return code
+    return _print_graph6(graphs, args.json)
 
 
 def cmd_verify_theorem(args: argparse.Namespace) -> int:
@@ -312,21 +301,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("check", help="decide self-complementarity, print rho")
-    _add_input(p)
-    _add_json(p)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("minor", help="build the guaranteed clique-minor model")
-    _add_input(p)
-    _add_json(p)
-    p.set_defaults(func=cmd_minor)
-
-    p = sub.add_parser("hadwiger", help="largest complete minor, with witness")
-    _add_input(p)
-    _add_json(p)
-    _add_budget(p)
-    p.set_defaults(func=cmd_hadwiger)
+    for verb, help_text, answer in (
+        ("check", "decide self-complementarity, print rho", cmd_check),
+        ("minor", "build the guaranteed clique-minor model", cmd_minor),
+        ("hadwiger", "largest complete minor, with witness", cmd_hadwiger),
+    ):
+        p = sub.add_parser(verb, help=help_text)
+        _add_input(p)
+        _add_json(p)
+        if answer is cmd_hadwiger:
+            _add_budget(p)
+        p.set_defaults(func=_answer_each, answer=answer)
 
     p = sub.add_parser("gen", help="emit generated graphs as graph6")
     group = p.add_mutually_exclusive_group(required=True)
@@ -365,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_json(p)
     _add_budget(p)
-    p.set_defaults(func=cmd_topo)
+    p.set_defaults(func=_answer_each, answer=cmd_topo)
 
     p = sub.add_parser(
         "verify-theorem",

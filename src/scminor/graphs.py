@@ -13,6 +13,9 @@ from collections.abc import Iterable, Iterator
 MAX_VERTICES = 64
 CANONICAL_CAP = 16
 GRAPH6_MAX = 62
+# ASCII whitespace, the only bytes ignored around a graph6 string; str.strip()
+# would also drop 0x1c-0x1f, 0x85 and 0xa0, which are not graph6 bytes.
+GRAPH6_WHITESPACE = " \t\n\r\x0b\x0c"
 
 
 class Graph6Error(ValueError):
@@ -248,7 +251,8 @@ def write_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
-    s = text.strip()
+    """Decode one graph6 string, ignoring ``GRAPH6_WHITESPACE`` around it."""
+    s = text.strip(GRAPH6_WHITESPACE)
     if not s:
         raise Graph6Error("empty graph6 string", 0)
     head = ord(s[0])

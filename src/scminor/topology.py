@@ -224,22 +224,20 @@ def _kuratowski_witness(g: Graph, apex: bool) -> CertificateSearch:
     return CertificateSearch(CERTIFICATE, name, model)
 
 
-def nonplanarity_witness(g: Graph, budget: int = DEFAULT_BUDGET) -> CertificateSearch:
+def nonplanarity_witness(g: Graph) -> CertificateSearch:
     """A verified K5 or K3,3 minor; one exists in every non-planar graph.
 
-    Read off a Kuratowski subgraph without search, so ``budget`` is unused
-    and the status is never indeterminate.
+    Read off a Kuratowski subgraph without search, so the status is never
+    indeterminate.
     """
     return _kuratowski_witness(g, apex=False)
 
 
-def nonouterplanarity_witness(
-    g: Graph, budget: int = DEFAULT_BUDGET
-) -> CertificateSearch:
+def nonouterplanarity_witness(g: Graph) -> CertificateSearch:
     """A verified K4 or K2,3 minor; one exists in every non-outerplanar graph.
 
-    Read off a Kuratowski subgraph of g plus an apex, without search, so
-    ``budget`` is unused and the status is never indeterminate.
+    Read off a Kuratowski subgraph of g plus an apex, without search, so the
+    status is never indeterminate.
     """
     return _kuratowski_witness(g, apex=True)
 
@@ -389,7 +387,6 @@ def report(
         raise ConsistencyError("complete minor of order 7 without one of order 6")
     if outer and not planar:
         raise ConsistencyError("outerplanar graph reported non-planar")
-    for j, val in apex.items():
-        if j == 0 and val != planar:
-            raise ConsistencyError("0-apex answer disagrees with planarity")
+    if apex.get(0, planar) != planar:
+        raise ConsistencyError("0-apex answer disagrees with planarity")
     return TopologyReport(outer, planar, il, ik, apex)

@@ -91,6 +91,16 @@ def test_antimorphism_defining_property():
                     assert g.has_edge(u, v) != g.has_edge(rho(u), rho(v))
 
 
+def test_is_antimorphism_rejects_a_permutation_of_another_order():
+    p4 = path_graph(4)
+    rho = find_antimorphism(p4)
+    assert is_antimorphism(p4, rho)
+    # rho extended by a fixed point maps P4's pairs exactly as rho does
+    longer = Permutation(list(rho.image) + [4])
+    assert not is_antimorphism(p4, longer)
+    assert not is_antimorphism(p4, Permutation([1, 0, 2]))
+
+
 def test_find_antimorphism_exhaustive_small():
     # Independent self-complementarity oracle: the edge count must be
     # n(n-1)/4 and the canonical forms of g and its complement must match.

@@ -333,3 +333,77 @@ def test_topo_settles_k6_and_k7_on_an_apex_host_above_the_oracle_cap(monkeypatch
     assert data["ik_certificate"] == {"status": "none_found", "target": "K7", "model": None}
     assert data["planar"] is False
     assert data["apex_numbers"] == {"0": False, "1": True, "2": True}
+
+
+def test_topo_exit_code_is_the_worst_over_the_input(monkeypatch, capsys):
+    # K8 plus six isolated vertices: above the oracle's 13-vertex cap, not SC
+    # and not 2-apex, so neither certificate can be settled
+    k8_plus_6 = "M~~~~{???????????"
+    assert parse_graph6(k8_plus_6).num_edges == 28
+    code, out, err = run_cli(["topo"], f"Dhc\n{k8_plus_6}\n", monkeypatch, capsys)
+    assert code == 3 and err == ""
+    assert out == (
+        "outerplanar=yes planar=yes il=none ik=none apex0=yes apex1=yes apex2=yes\n"
+        "outerplanar=no planar=no il=indeterminate ik=indeterminate "
+        "apex0=no apex1=no apex2=no\n"
+    )
+
+
+@pytest.mark.parametrize("apex", ["4", "-1"])
+def test_topo_apex_out_of_range_is_a_usage_error(apex, monkeypatch, capsys):
+    code, out, err = run_cli(["topo", "--apex", apex], "Dhc\n", monkeypatch, capsys)
+    assert code == 2 and out == ""
+    assert err == f"line 0: --apex must be in 0..3, got {apex}\n"
+
+
+@pytest.mark.parametrize("verb", ["check", "minor", "hadwiger", "topo"])
+def test_blank_lines_between_graphs_are_skipped(verb, monkeypatch, capsys):
+    _, expected, _ = run_cli([verb], "Ch\nDhc\n", monkeypatch, capsys)
+    code, out, err = run_cli([verb], "\nCh\n\n \t\r\nDhc\n\n", monkeypatch, capsys)
+    assert code == 0 and err == ""
+    assert out == expected
+
+
+@pytest.mark.parametrize(
+    "data, verb, out, err",
+    [
+        (b"C\x1e\n", "check", "", "line 1: invalid graph6 byte '\\x1e' (byte offset 1)\n"),
+        (
+            b"C~\x1e\n",
+            "hadwiger",
+            "",
+            "line 1: expected 1 data bytes for n=4, got 2 (byte offset 3)\n",
+        ),
+        (
+            b"Ch\n\x1f\nDhc\n",
+            "check",
+            "self-complementary: yes, rho=(0 1 3 2), sachs=ok\n",
+            "line 2: invalid vertex-count byte '\\x1f' (byte offset 0)\n",
+        ),
+    ],
+)
+def test_control_bytes_in_a_graph6_line_are_input_errors(
+    data, verb, out, err, tmp_path, monkeypatch, capsys
+):
+    # only ASCII whitespace is stripped; 0x1c-0x1f are not graph6 bytes
+    path = tmp_path / "graphs.g6"
+    path.write_bytes(data)
+    assert run_cli([verb, str(path)], "", monkeypatch, capsys) == (2, out, err)
+
+
+def test_console_script_entrypoint():
+    run = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys\n"
+            "from scminor.cli import entrypoint\n"
+            "sys.argv = ['scminor', 'check']\n"
+            "entrypoint()\n",
+        ],
+        input="Ch\n",
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "self-complementary: yes, rho=(0 1 3 2), sachs=ok\n"

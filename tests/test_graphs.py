@@ -201,6 +201,30 @@ def test_graph6_rejects_malformed():
     assert err is not None and err.offset == 1
 
 
+@pytest.mark.parametrize(
+    "text, offset, message",
+    [
+        (">", 0, "invalid vertex-count byte"),
+        ("C~\x1e", 3, "expected 1 data bytes"),
+        ("\x1fC~", 0, "invalid vertex-count byte"),
+        ("\x1cCh", 0, "invalid vertex-count byte"),
+        ("C\x1e", 1, "invalid graph6 byte"),
+        ("\xa0C~", 0, "invalid vertex-count byte"),
+        ("C~\x85", 3, "expected 1 data bytes"),
+    ],
+)
+def test_graph6_rejects_bytes_outside_its_range(text, offset, message):
+    # none of these is stripped: str.strip() would drop 0x1c-0x1f, 0x85 and
+    # 0xa0 and read K4 or P4
+    with pytest.raises(Graph6Error) as exc:
+        parse_graph6(text)
+    assert exc.value.offset == offset and message in str(exc.value)
+
+
+def test_graph6_ignores_surrounding_ascii_whitespace():
+    assert parse_graph6(" \t\x0b\x0cC~\r\n ") == complete_graph(4)
+
+
 def test_graph6_empty_graph():
     assert write_graph6(Graph(0)) == "?"
     assert parse_graph6("?") == Graph(0)

@@ -72,6 +72,11 @@ def test_budget_exhaustion_is_explicit():
         has_minor(MinorQuery(path_graph(4), complete_graph(2), budget=0))
 
 
+def test_hadwiger_rejects_a_non_positive_budget():
+    with pytest.raises(ValueError, match="budget must be positive"):
+        hadwiger(path_graph(4), 0)
+
+
 def test_hadwiger_fixed_values():
     assert hadwiger(path_graph(4)).value == 2
     assert hadwiger(cycle_graph(5)).value == 3
