@@ -42,7 +42,9 @@ EXIT_BUDGET = 3
 
 
 class _InputError(Exception):
-    def __init__(self, lineno: int, message: str):
+    """A usage or input error; ``lineno`` is the input line at fault, if any."""
+
+    def __init__(self, message: str, lineno: int | None = None):
         super().__init__(message)
         self.lineno = lineno
 
@@ -62,7 +64,7 @@ def _iter_graphs(path: str) -> Iterator[Graph]:
         try:
             stream = open(path, "rb")
         except OSError as exc:
-            raise _InputError(0, str(exc)) from exc
+            raise _InputError(str(exc)) from exc
         close = True
     try:
         for lineno, raw in enumerate(stream, 1):
@@ -70,8 +72,8 @@ def _iter_graphs(path: str) -> Iterator[Graph]:
                 line = raw.decode("ascii") if isinstance(raw, bytes) else raw
             except UnicodeDecodeError as exc:
                 raise _InputError(
-                    lineno,
                     f"non-ASCII byte 0x{raw[exc.start]:02x} at column {exc.start + 1}",
+                    lineno,
                 ) from exc
             line = line.strip(GRAPH6_WHITESPACE)
             if not line:
@@ -79,7 +81,7 @@ def _iter_graphs(path: str) -> Iterator[Graph]:
             try:
                 yield parse_graph6(line)
             except (Graph6Error, CapacityError) as exc:
-                raise _InputError(lineno, str(exc)) from exc
+                raise _InputError(str(exc), lineno) from exc
     finally:
         if close:
             stream.close()
@@ -97,9 +99,9 @@ def _resolve_budget(budget: int | None) -> int:
         try:
             budget = int(raw)
         except ValueError as exc:
-            raise _InputError(0, f"SCMINOR_BUDGET must be an integer, got {raw!r}") from exc
+            raise _InputError(f"SCMINOR_BUDGET must be an integer, got {raw!r}") from exc
     if budget <= 0:
-        raise _InputError(0, f"budget must be positive, got {budget}")
+        raise _InputError(f"budget must be positive, got {budget}")
     return budget
 
 
@@ -109,7 +111,7 @@ def _answer_each(args: argparse.Namespace) -> int:
     if "budget" in args:
         args.budget = _resolve_budget(args.budget)
     if "apex" in args and not 0 <= args.apex <= APEX_CAP:
-        raise _InputError(0, f"--apex must be in 0..{APEX_CAP}, got {args.apex}")
+        raise _InputError(f"--apex must be in 0..{APEX_CAP}, got {args.apex}")
     code = EXIT_OK
     for g in _iter_graphs(args.input):
         payload, plain, graph_code = args.answer(g, args)
@@ -211,7 +213,7 @@ def _print_graph6(graphs: list[Graph], as_json: bool) -> int:
     try:
         texts = [write_graph6(g) for g in graphs]
     except CapacityError as exc:  # more vertices than the short form holds
-        raise _InputError(0, str(exc)) from exc
+        raise _InputError(str(exc)) from exc
     for text in texts:
         _emit({"graph6": text}, text, as_json)
     return EXIT_OK
@@ -224,19 +226,23 @@ def cmd_gen(args: argparse.Namespace) -> int:
         elif args.family == "sharp4n1":
             graphs = [sharp_4n_plus_1(args.n)]
         elif args.count < 1:
-            raise _InputError(0, f"--count must be positive, got {args.count}")
+            raise _InputError(f"--count must be positive, got {args.count}")
         else:
             graphs = [random_sc(args.n, args.seed + i) for i in range(args.count)]
     except ValueError as exc:
-        raise _InputError(0, str(exc)) from exc
+        raise _InputError(str(exc)) from exc
     return _print_graph6(graphs, args.json)
 
 
 def cmd_enum(args: argparse.Namespace) -> int:
+    if args.n in LARGE_ENUMERATION_SIZES and not args.allow_large:
+        raise _InputError(
+            f"enumeration at n={args.n} is expensive; pass --allow-large to run it"
+        )
     try:
         graphs = enumerate_sc(args.n, allow_large=args.allow_large)
     except ValueError as exc:
-        raise _InputError(0, str(exc)) from exc
+        raise _InputError(str(exc)) from exc
     return _print_graph6(graphs, args.json)
 
 
@@ -246,13 +252,10 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
         graphs = enumerate_sc(n)
     elif n in LARGE_ENUMERATION_SIZES:
         if args.samples < 1:
-            raise _InputError(0, f"--samples must be positive, got {args.samples}")
+            raise _InputError(f"--samples must be positive, got {args.samples}")
         graphs = [random_sc(n, args.seed + i) for i in range(args.samples)]
     else:
-        raise _InputError(
-            0,
-            f"supported sizes: {ENUMERATION_SIZES + LARGE_ENUMERATION_SIZES}",
-        )
+        raise _InputError(f"supported sizes: {ENUMERATION_SIZES + LARGE_ENUMERATION_SIZES}")
     order = (n + 1) // 2
     verified = sum(1 for g in graphs if guaranteed_minor(g) is not None)
     ok = verified == len(graphs)
@@ -376,7 +379,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except _InputError as exc:
-        print(f"line {exc.lineno}: {exc}", file=sys.stderr)
+        where = "" if exc.lineno is None else f"line {exc.lineno}: "
+        print(f"{where}{exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
         return EXIT_OK

@@ -115,12 +115,43 @@ def test_budget_env_override(monkeypatch, capsys):
 def test_non_positive_budget_is_a_usage_error(verb, budget, monkeypatch, capsys):
     code, out, err = run_cli([verb, "--budget", budget], "Dhc\n", monkeypatch, capsys)
     assert code == 2 and out == ""
-    assert err == f"line 0: budget must be positive, got {budget}\n"
+    assert err == f"budget must be positive, got {budget}\n"
 
     monkeypatch.setenv("SCMINOR_BUDGET", budget)
     code, out, err = run_cli([verb], "Dhc\n", monkeypatch, capsys)
     assert code == 2 and out == ""
-    assert err == f"line 0: budget must be positive, got {budget}\n"
+    assert err == f"budget must be positive, got {budget}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, budget_env, err",
+    [
+        (["verify-theorem", "--n", "7"], None, "supported sizes: (1, 4, 5, 8, 9, 12, 13)\n"),
+        (
+            ["gen", "--random", "--n", "8", "--count", "0"],
+            None,
+            "--count must be positive, got 0\n",
+        ),
+        (
+            ["verify-theorem", "--n", "12", "--samples", "0"],
+            None,
+            "--samples must be positive, got 0\n",
+        ),
+        (["topo"], "banana", "SCMINOR_BUDGET must be an integer, got 'banana'\n"),
+    ],
+)
+def test_errors_from_no_input_line_have_no_line_prefix(argv, budget_env, err, monkeypatch, capsys):
+    if budget_env is not None:
+        monkeypatch.setenv("SCMINOR_BUDGET", budget_env)
+    code, out, got = run_cli(argv, "Dhc\n", monkeypatch, capsys)
+    assert (code, out, got) == (2, "", err)
+
+
+def test_a_missing_input_file_is_an_error_without_a_line_prefix(tmp_path, monkeypatch, capsys):
+    missing = tmp_path / "missing.g6"
+    code, out, err = run_cli(["check", str(missing)], "", monkeypatch, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("[Errno 2] ") and err.endswith(f"'{missing}'\n") and err.count("\n") == 1
 
 
 def test_gen_family(monkeypatch, capsys):
@@ -142,7 +173,7 @@ def test_gen_beyond_the_graph6_cap_is_an_input_error(args, monkeypatch, capsys):
     # Both build a 64-vertex graph, which graph6's short form cannot hold.
     code, out, err = run_cli(["gen", *args], "", monkeypatch, capsys)
     assert code == 2 and out == ""
-    assert err == "line 0: graph6 short form supports n <= 62, got 64\n"
+    assert err == "graph6 short form supports n <= 62, got 64\n"
 
 
 def test_gen_random_deterministic(monkeypatch, capsys):
@@ -162,8 +193,13 @@ def test_enum_verb(monkeypatch, capsys):
     assert code == 0
     graphs = [parse_graph6(line) for line in out.splitlines()]
     assert len(graphs) == 2
-    code, _, err = run_cli(["enum", "--n", "12"], "", monkeypatch, capsys)
-    assert code == 2 and "allow_large" in err
+
+
+@pytest.mark.parametrize("n", ["12", "13"])
+def test_enum_large_sizes_name_the_cli_flag(n, monkeypatch, capsys):
+    code, out, err = run_cli(["enum", "--n", n], "", monkeypatch, capsys)
+    assert code == 2 and out == ""
+    assert err == f"enumeration at n={n} is expensive; pass --allow-large to run it\n"
 
 
 def test_topo_verb(monkeypatch, capsys):
@@ -277,7 +313,7 @@ def test_check_and_minor_do_not_import_networkx():
         "assert 'networkx' not in sys.modules\n"
         "code = scminor.cli.main(['topo', '--apex', '0'])\n"
         # edge counts settle P4 and random_sc(13, 1); sharp_4n(2), 8 vertices
-        # and 14 edges, is left to networkx
+        # and 14 edges, is left to the planarity test
         "assert 'networkx' not in sys.modules\n"
         "import io\n"
         "from scminor import random_sc, sharp_4n, write_graph6\n"
@@ -286,7 +322,7 @@ def test_check_and_minor_do_not_import_networkx():
         "assert 'networkx' not in sys.modules\n"
         "sys.stdin = io.StringIO(write_graph6(sharp_4n(2)) + '\\n')\n"
         "code |= scminor.cli.main(['topo'])\n"
-        "assert 'networkx' in sys.modules\n"
+        "assert 'networkx' not in sys.modules\n"
         "sys.exit(code)\n"
     )
     run = subprocess.run(
@@ -294,6 +330,38 @@ def test_check_and_minor_do_not_import_networkx():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("outerplanar=yes planar=yes ")
+
+
+def test_topology_runs_where_networkx_cannot_be_imported():
+    # sys.modules[name] = None makes every import of that name fail
+    script = (
+        "import sys\n"
+        "sys.modules['networkx'] = None\n"
+        "import io\n"
+        "import scminor.cli\n"
+        "from scminor import Graph, complete_bipartite, complete_graph, is_n_apex\n"
+        "from scminor import nonouterplanarity_witness, nonplanarity_witness\n"
+        "from scminor import sharp_4n, write_graph6\n"
+        "sys.stdin = io.StringIO(write_graph6(sharp_4n(2)) + '\\n')\n"
+        "assert scminor.cli.main(['topo']) == 0\n"
+        "assert is_n_apex(complete_bipartite(3, 3), 1) == (True, frozenset({0}))\n"
+        "assert is_n_apex(sharp_4n(2), 0) == (True, frozenset())\n"
+        # K3,3 with every edge a path of three edges: 24 vertices, 27 edges
+        "edges, n = [], 6\n"
+        "for u, v in complete_bipartite(3, 3).edges():\n"
+        "    walk = [u, n, n + 1, v]\n"
+        "    edges += zip(walk, walk[1:])\n"
+        "    n += 2\n"
+        "w = nonplanarity_witness(Graph(n, edges))\n"
+        "assert (w.status, w.target) == ('certificate', 'K3,3'), w\n"
+        "w = nonouterplanarity_witness(complete_graph(4))\n"
+        "assert (w.status, w.target) == ('certificate', 'K4'), w\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (
+        "outerplanar=no planar=yes il=none ik=none apex0=yes apex1=yes apex2=yes\n"
+    )
 
 
 def test_topo_apex_3_on_a_61_vertex_sc_graph_needs_no_apex_search(monkeypatch, capsys):
@@ -353,7 +421,7 @@ def test_topo_exit_code_is_the_worst_over_the_input(monkeypatch, capsys):
 def test_topo_apex_out_of_range_is_a_usage_error(apex, monkeypatch, capsys):
     code, out, err = run_cli(["topo", "--apex", apex], "Dhc\n", monkeypatch, capsys)
     assert code == 2 and out == ""
-    assert err == f"line 0: --apex must be in 0..3, got {apex}\n"
+    assert err == f"--apex must be in 0..3, got {apex}\n"
 
 
 @pytest.mark.parametrize("verb", ["check", "minor", "hadwiger", "topo"])

@@ -1,10 +1,13 @@
 import functools
+import itertools
 from collections import Counter
 
 import pytest
 
 import scminor.construction
 import scminor.topology
+from scminor.graphs import iter_bits
+from scminor.topology import _planar_masks
 from scminor import (
     Graph,
     complete_bipartite,
@@ -294,15 +297,28 @@ def test_none_found_targets_are_pinned():
     assert nonouterplanarity_witness(cycle_graph(5)).target is None
 
 
+def _with_apex(adj: list[int]) -> list[int]:
+    """The adjacency masks ``adj`` plus a vertex joined to all of them."""
+    return [m | 1 << len(adj) for m in adj] + [(1 << len(adj)) - 1]
+
+
+def _masks(g: Graph, apex: bool = False) -> list[int]:
+    """The adjacency masks of g, plus a vertex joined to all of g if ``apex``."""
+    return _with_apex(list(g._adj)) if apex else list(g._adj)
+
+
+def reference_planar_masks(adj: list[int]) -> bool:
+    """networkx's planarity test on the graph with adjacency masks ``adj``."""
+    h = nx.Graph()
+    h.add_nodes_from(range(len(adj)))
+    h.add_edges_from((u, w) for u, m in enumerate(adj) for w in iter_bits(m) if u < w)
+    return nx.check_planarity(h)[0]
+
+
 def reference_planar(g: Graph, apex: bool = False) -> bool:
     """networkx's planarity test on g, plus a vertex joined to all of g if
     ``apex`` (outerplanarity), with no edge-count shortcut."""
-    h = nx.Graph()
-    h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
-    if apex:
-        h.add_edges_from((g.n, v) for v in range(g.n))
-    return nx.check_planarity(h)[0]
+    return reference_planar_masks(_masks(g, apex))
 
 
 def test_counting_rules_agree_with_networkx_on_every_small_labelled_graph():
@@ -312,7 +328,7 @@ def test_counting_rules_agree_with_networkx_on_every_small_labelled_graph():
             assert is_outerplanar(g) == reference_planar(g, apex=True), g
 
 
-def _maximal_graph(rng: random.Random, n: int, outer: bool) -> Graph:
+def _maximal_edges(rng: random.Random, n: int, outer: bool) -> list[tuple[int, int]]:
     """A random maximal outerplanar (2n - 3 edges) or maximal planar (3n - 6
     edges) graph: start from a triangle, and join each further vertex to both
     ends of an outer-cycle edge, or to the three corners of a face."""
@@ -322,7 +338,7 @@ def _maximal_graph(rng: random.Random, n: int, outer: bool) -> Graph:
         face = faces.pop(rng.randrange(len(faces)))
         edges += [(u, v) for u in face]
         faces += [face[:i] + (v,) + face[i + 1:] for i in range(len(face))]
-    return Graph(n, edges)
+    return edges
 
 
 @settings(max_examples=100, deadline=None)
@@ -340,7 +356,7 @@ def test_counting_rules_agree_with_networkx_at_each_threshold(n, which, base, rn
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     if m > len(pairs):
         return
-    g = Graph(n) if base == "empty" else _maximal_graph(rng, n, base == "outerplanar")
+    g = Graph(n) if base == "empty" else Graph(n, _maximal_edges(rng, n, base == "outerplanar"))
     edges = g.edges()
     if len(edges) > m:
         edges = rng.sample(edges, m)
@@ -349,6 +365,84 @@ def test_counting_rules_agree_with_networkx_at_each_threshold(n, which, base, rn
     g = Graph(n, edges)
     assert is_planar(g) == reference_planar(g)
     assert is_outerplanar(g) == reference_planar(g, apex=True)
+
+
+def test_mask_planarity_agrees_with_networkx_on_every_small_labelled_graph():
+    """No edge-count rule runs before ``_planar_masks``, unlike in is_planar.
+    networkx runs once per isomorphism class, and the relabellings of the
+    class representatives make up every labelled graph."""
+    for n, reps in iso_classes_up_to(6).items():
+        seen = set()
+        for rep in reps:
+            want = reference_planar(rep), reference_planar(rep, apex=True)
+            for perm in itertools.permutations(range(n)):
+                g = Graph(n, [(perm[u], perm[v]) for u, v in rep.edges()])
+                if g not in seen:
+                    seen.add(g)
+                    assert (_planar_masks(_masks(g)), _planar_masks(_masks(g, True))) == want, g
+        assert len(seen) == 2 ** (n * (n - 1) // 2)
+
+
+def _maximal_masks(rng: random.Random, n: int, outer: bool) -> list[int]:
+    """``_maximal_edges`` as adjacency masks, relabelled at random; n may
+    exceed the 64 vertices a Graph holds."""
+    label = rng.sample(range(n), n)
+    adj = [0] * n
+    for u, v in _maximal_edges(rng, n, outer):
+        adj[label[u]] |= 1 << label[v]
+        adj[label[v]] |= 1 << label[u]
+    return adj
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(7, 65),
+    st.sampled_from(("outerplanar", "outerplanar+apex", "planar")),
+    st.integers(0, 3),
+    st.integers(0, 2),
+    st.randoms(use_true_random=False),
+)
+def test_mask_planarity_agrees_with_networkx_near_maximal_graphs(n, base, cut, extra, rng):
+    """A random maximal outerplanar graph (with an apex: a maximal planar
+    graph on one vertex more) or maximal planar graph on n vertices, with
+    ``cut`` of its edges removed and ``extra`` non-edges added."""
+    if base == "outerplanar+apex":
+        adj = _with_apex(_maximal_masks(rng, n - 1, outer=True))
+    else:
+        adj = _maximal_masks(rng, n, outer=base == "outerplanar")
+    edges = [(u, w) for u in range(n) for w in range(u + 1, n) if adj[u] >> w & 1]
+    others = [(u, w) for u in range(n) for w in range(u + 1, n) if not adj[u] >> w & 1]
+    for u, w in rng.sample(edges, cut) + rng.sample(others, min(extra, len(others))):
+        adj[u] ^= 1 << w
+        adj[w] ^= 1 << u
+    assert _planar_masks(adj) == reference_planar_masks(adj)
+
+
+def _glued(*parts: Graph) -> Graph:
+    """The parts laid side by side, the last vertex of each identified with
+    the first vertex of the next, so each joint is a cut vertex."""
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(u + offset, v + offset) for u, v in part.edges()]
+        offset += part.n - 1
+    return Graph(offset + 1, edges)
+
+
+@pytest.mark.parametrize(
+    "g, planar",
+    [
+        (_glued(complete_graph(5), complete_graph(5)), False),
+        (_glued(complete_graph(4), complete_graph(4)), True),
+        (_glued(complete_graph(4), cycle_graph(6), complete_graph(4), path_graph(3)), True),
+        # K3,3 with a pendant path and a pendant star on two of its vertices
+        (_glued(path_graph(4), complete_bipartite(3, 3), complete_bipartite(1, 3)), False),
+        (_glued(path_graph(4), complete_bipartite(2, 3), path_graph(5)), True),
+    ],
+)
+def test_mask_planarity_on_graphs_with_several_blocks(g, planar):
+    flipped = Graph(g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()])
+    for adj in (_masks(g), _masks(flipped)):
+        assert _planar_masks(adj) == reference_planar_masks(adj) == planar
 
 
 def test_report_planarity_agrees_with_networkx():
