@@ -215,14 +215,15 @@ def side_partition(g: Graph, rho: Permutation) -> SidePartition:
     if not is_antimorphism(g, rho):
         raise ValueError("permutation is not an antimorphism of the graph")
     k = n // 4
-    high = frozenset(v for v in range(n) if g.degree(v) >= 2 * k)
+    side = sum(1 << v for v in range(n) if g.degree(v) >= 2 * k)
+    cross = Graph._from_adj(
+        m & ~side if side >> v & 1 else m & side for v, m in enumerate(g._adj)
+    )
+    high = frozenset(iter_bits(side))
     low = frozenset(range(n)) - high
-    cross_edges = [
-        (u, v) for u, v in g.edges() if (u in high) != (v in high)
-    ]
-    if {rho(v) for v in high} != low or len(cross_edges) != 2 * k * k:
+    if {rho(v) for v in high} != low or cross.num_edges != 2 * k * k:
         raise ConsistencyError("rho does not swap the degree sides across 2k^2 cross edges")
-    return SidePartition(high, low, Graph(n, cross_edges))
+    return SidePartition(high, low, cross)
 
 
 def _validate_cycle(p: Permutation, cycle: Sequence[int]) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from .graphs import Graph, ConsistencyError, mask_is_connected
+from .graphs import Graph, ConsistencyError, iter_bits, mask_is_connected, neighbourhood
 from .generators import complete_graph
 from .antimorphism import (
     Permutation,
@@ -99,30 +99,41 @@ def verify_minor_model(g: Graph, model: MinorModel, target: Graph) -> ModelCheck
         return ModelCheck(
             False, f"{len(sets)} branch sets for a {target.n}-vertex target"
         )
-    adj = g._adj
     masks = []
-    reach = []  # reach[i]: every host vertex with a neighbour in set i
     seen = 0
     for i, s in enumerate(sets):
         if not s:
             return ModelCheck(False, f"branch set {i} is empty")
-        mask = nb = 0
+        mask = 0
         for v in s:
             if not (0 <= v < g.n):
                 return ModelCheck(False, f"branch set {i} leaves the host range")
             mask |= 1 << v
-            nb |= adj[v]
         if mask & seen:
             return ModelCheck(False, f"branch set {i} overlaps an earlier one")
         seen |= mask
         if not mask_is_connected(g, mask):
             return ModelCheck(False, f"branch set {i} is not connected")
         masks.append(mask)
-        reach.append(nb)
-    for i, j in target.edges():
-        if not reach[i] & masks[j]:
-            return ModelCheck(False, "no host edge between branch sets", (i, j))
+    for i, mask in enumerate(masks):
+        reach = neighbourhood(g._adj, mask)
+        for j in iter_bits(target._adj[i] >> (i + 1) << (i + 1)):
+            if not reach & masks[j]:
+                return ModelCheck(False, "no host edge between branch sets", (i, j))
     return ModelCheck(True)
+
+
+def checked_model(host: Graph, model: MinorModel, target: Graph, producer: str) -> MinorModel:
+    """``model``, once it verifies as a minor model of ``target`` in ``host``.
+
+    Every producer of a model guarantees it, so a failure is a bug in the
+    producer: it raises ``ConsistencyError`` naming the producer.
+    """
+    check = verify_minor_model(host, model, target)
+    if not check.ok:
+        at = "" if check.pair is None else f" at target edge {check.pair}"
+        raise ConsistencyError(f"{producer} failed verification: {check.reason}{at}")
+    return model
 
 
 def choose_generator(g: Graph, rho: Permutation, cycle: Sequence[int]) -> int:
@@ -218,23 +229,12 @@ def realize_minor(g: Graph, plan: ContractionPlan) -> MinorModel:
     plus the fixed vertex alone.  Verification failure would falsify the
     construction itself, so it raises instead of returning a bad model.
     """
-    sets: list[frozenset[int]] = []
-    for part in plan.per_cycle:
-        sets.extend(frozenset(pair) for pair in part.matching)
+    sets = [frozenset(pair) for pair in plan.matching_edges()]
     if plan.fixed_vertex is not None:
         sets.append(frozenset((plan.fixed_vertex,)))
-    model = MinorModel(tuple(sets))
-    expected = (g.n + 1) // 2
-    if model.k != expected:
-        raise ConsistencyError(
-            f"plan yields {model.k} branch sets, expected {expected}"
-        )
-    check = verify_minor_model(g, model, complete_graph(model.k))
-    if not check.ok:
-        raise ConsistencyError(
-            f"constructed model failed verification: {check.reason} {check.pair}"
-        )
-    return model
+    return checked_model(
+        g, MinorModel(tuple(sets)), complete_graph((g.n + 1) // 2), "constructed model"
+    )
 
 
 def guaranteed_minor(g: Graph) -> MinorModel | None:

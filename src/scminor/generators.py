@@ -83,10 +83,10 @@ def sharp_4n_plus_1(n: int) -> Graph:
         raise ValueError(f"family parameter must be >= 0, got {n}")
     if n == 0:
         return Graph(1)
-    base = sharp_4n(n)
-    apex = 4 * n
-    edges = base.edges() + [(i, apex) for i in range(2 * n)]
-    return Graph(4 * n + 1, edges)
+    base = sharp_4n(n)._adj
+    check_order(4 * n + 1)
+    adj = [m | 1 << 4 * n for m in base[: 2 * n]] + list(base[2 * n :])
+    return Graph._from_adj(adj + [(1 << 2 * n) - 1])
 
 
 def sachs_cycle_types(n: int) -> tuple[tuple[int, ...], ...]:
@@ -160,7 +160,10 @@ def pair_orbits(sigma: Permutation) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 @dataclass(frozen=True)
 class OrbitAssignment:
-    """A candidate antimorphism plus one edge/non-edge bit per pair orbit."""
+    """A candidate antimorphism plus one edge/non-edge bit per pair orbit.
+
+    ``orbits`` is ``pair_orbits(sigma)``, as ``from_choices`` builds it.
+    """
 
     sigma: Permutation
     orbits: tuple[tuple[tuple[int, int], ...], ...]
@@ -188,12 +191,13 @@ def sc_from_assignment(assignment: OrbitAssignment) -> Graph:
         raise ValueError(
             f"{len(assignment.choices)} choices for {len(assignment.orbits)} orbits"
         )
-    edges = []
+    check_order(sigma.n)
+    adj = [0] * sigma.n
     for orbit, chosen in zip(assignment.orbits, assignment.choices):
-        for idx, pair in enumerate(orbit):
-            if chosen != bool(idx % 2):
-                edges.append(pair)
-    g = Graph(sigma.n, edges)
+        for u, v in orbit[0 if chosen else 1 :: 2]:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    g = Graph._from_adj(adj)
     if not is_antimorphism(g, sigma):
         raise ConsistencyError("sigma is not an antimorphism of the built graph")
     return g

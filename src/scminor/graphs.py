@@ -8,7 +8,7 @@ graph, which makes everything in this package safe to call concurrently.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
 CANONICAL_CAP = 16
@@ -168,12 +168,13 @@ def contract_matching(
     map old-vertex -> new-vertex.
     """
     pairs = [tuple(e) for e in matching]
+    adj = g._adj
     label: dict[int, int] = {}
     for i, pair in enumerate(pairs):
         if len(pair) != 2:
             raise MatchingError(f"matching entry {pair!r} is not a vertex pair")
         u, v = pair
-        if not (0 <= u < g.n and 0 <= v < g.n) or u == v or not g.has_edge(u, v):
+        if not (0 <= u < g.n and 0 <= v < g.n) or u == v or not adj[u] >> v & 1:
             raise MatchingError(f"({u}, {v}) is not an edge of the host graph")
         if u in label or v in label:
             raise MatchingError(f"edge ({u}, {v}) overlaps an earlier matching edge")
@@ -183,21 +184,30 @@ def contract_matching(
         if v not in label:
             label[v] = nxt
             nxt += 1
-    edges = set()
-    for u, v in g.edges():
-        a, b = label[u], label[v]
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    return Graph(nxt, edges), label
+    out = [0] * nxt
+    for v, m in enumerate(adj):
+        a = label[v]
+        for w in iter_bits(m):
+            out[a] |= 1 << label[w]
+    return Graph._from_adj(m & ~(1 << a) for a, m in enumerate(out)), label
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union of ``g1`` and ``g2`` plus all cross edges."""
-    n1 = g1.n
-    edges = list(g1.edges())
-    edges += [(u + n1, v + n1) for u, v in g2.edges()]
-    edges += [(u, v + n1) for u in range(n1) for v in range(g2.n)]
-    return Graph(n1 + g2.n, edges)
+    n1, n2 = g1.n, g2.n
+    check_order(n1 + n2)
+    return Graph._from_adj(
+        [m | ((1 << n2) - 1) << n1 for m in g1._adj]
+        + [m << n1 | (1 << n1) - 1 for m in g2._adj]
+    )
+
+
+def neighbourhood(adj: Sequence[int], mask: int) -> int:
+    """N(mask) minus mask: a set disjoint from ``mask`` touches it iff it meets this."""
+    out = 0
+    for v in iter_bits(mask):
+        out |= adj[v]
+    return out & ~mask
 
 
 def mask_is_connected(g: Graph, mask: int) -> bool:
@@ -231,23 +241,23 @@ def is_connected_subset(g: Graph, vertices: Iterable[int]) -> bool:
 # zero-padded at the end.
 
 
+def _pack_graph6(n: int, columns: Iterable[str]) -> str:
+    """graph6 text of an n-vertex graph from its columns c = 1..n-1, each
+    given as the text of its c bits, pair (0, c) first."""
+    bits = "".join(columns)
+    bits += "0" * (-len(bits) % 6)
+    return chr(63 + n) + "".join(
+        [chr(63 + int(bits[i : i + 6], 2)) for i in range(0, len(bits), 6)]
+    )
+
+
 def write_graph6(g: Graph) -> str:
     if g.n > GRAPH6_MAX:
         raise CapacityError(f"graph6 short form supports n <= {GRAPH6_MAX}, got {g.n}")
-    out = [chr(63 + g.n)]
-    acc = 0
-    nbits = 0
-    for col in range(1, g.n):
-        for row in range(col):
-            acc = (acc << 1) | ((g._adj[row] >> col) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + acc))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr(63 + (acc << (6 - nbits))))
-    return "".join(out)
+    adj = g._adj
+    return _pack_graph6(
+        g.n, (format(adj[c] & ((1 << c) - 1), f"0{c}b")[::-1] for c in range(1, g.n))
+    )
 
 
 def parse_graph6(text: str) -> Graph:
@@ -273,18 +283,19 @@ def parse_graph6(text: str) -> Graph:
         if not 0 <= val <= 63:
             raise Graph6Error(f"invalid graph6 byte {s[idx]!r}", idx)
         bits = (bits << 6) | val
-    total_bits = 6 * need
-    pad = total_bits - npairs
+    pad = 6 * need - npairs
     if pad and bits & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits", len(s) - 1)
-    edges = []
-    pos = 0
-    for col in range(1, n):
-        for row in range(col):
-            if (bits >> (total_bits - 1 - pos)) & 1:
-                edges.append((row, col))
-            pos += 1
-    return Graph(n, edges)
+    # Row c of ``square`` is triangle column c padded to n bits, so v's
+    # neighbours below v are row v of the square and those above it column v.
+    triangle = format(bits >> pad, f"0{npairs}b") if npairs else ""
+    square = "".join(
+        triangle[c * (c - 1) // 2 : c * (c + 1) // 2].ljust(n, "0") for c in range(n)
+    )
+    return Graph._from_adj(
+        int(square[v * n : v * n + n][::-1], 2) | int(square[v::n][::-1], 2)
+        for v in range(n)
+    )
 
 
 # -- canonical forms ---------------------------------------------------------
@@ -343,7 +354,7 @@ def canonical_form(g: Graph) -> bytes:
     target = [class_mask[c] for c in sorted(colors)]
     twins = [twin_mask[adj[v]] | twin_mask[adj[v] | 1 << v] for v in range(n)]
 
-    best: list[int] | None = None
+    best: list[int] = []  # empty until the first leaf, when n > 0
     blocks: list[int] = []
 
     def split(cells: list[int], m: int, cell: int) -> list[int]:
@@ -366,7 +377,7 @@ def canonical_form(g: Graph) -> bytes:
         # below the best's prefix, the first leaf reached replaces the best.
         nonlocal best
         if depth == n:
-            if best is None or blocks < best:
+            if not best or blocks < best:
                 best = blocks.copy()
             return
         rest = target[depth] & ~placed
@@ -391,7 +402,7 @@ def canonical_form(g: Graph) -> bytes:
             size = rest.bit_count()
             base = ranked[0][0]  # every member's bits over the placed cells
             forced = [(base << i) | ((1 << i) - 1 if clique else 0) for i in range(size)]
-            if best is not None and blocks == best[:depth] and forced > best[depth : depth + size]:
+            if best and blocks == best[:depth] and forced > best[depth : depth + size]:
                 return
             blocks.extend(forced)
             descend(depth + size, split(cells, adj[first], rest), placed | rest)
@@ -400,7 +411,7 @@ def canonical_form(g: Graph) -> bytes:
         tried = 0
         ranked.sort()
         for block, v in ranked:
-            if best is not None and block > best[depth] and blocks == best[:depth]:
+            if best and block > best[depth] and blocks == best[:depth]:
                 break
             if twins[v] & tried:
                 continue
@@ -410,6 +421,6 @@ def canonical_form(g: Graph) -> bytes:
             blocks.pop()
 
     descend(0, [], 0)
-    assert best is not None
-    edges = [(j, i) for i in range(1, n) for j in range(i) if best[i] >> (i - 1 - j) & 1]
-    return write_graph6(Graph(n, edges)).encode("ascii")
+    # block i is column i of the graph6 upper triangle, position 0 first
+    columns = (format(best[i], f"0{i}b") for i in range(1, n))
+    return _pack_graph6(n, columns).encode("ascii")

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, ConsistencyError, iter_bits
-from .construction import MinorModel, verify_minor_model
+from .graphs import Graph, iter_bits, neighbourhood
+from .construction import MinorModel, checked_model
 from .generators import complete_graph
 
 DEFAULT_BUDGET = 10**8
@@ -87,14 +87,6 @@ class HadwigerOutcome:
     exact: bool
     upper_bound: int
     expansions: int
-
-
-def _neighbourhood(adj: tuple[int, ...], mask: int) -> int:
-    """N(mask) minus mask: a set disjoint from ``mask`` touches it iff it meets this."""
-    out = 0
-    for v in iter_bits(mask):
-        out |= adj[v]
-    return out & ~mask
 
 
 def _connected_sets(adj, anchor: int, region: int, max_size: int, budget: _Budget):
@@ -171,7 +163,7 @@ def _clique_minor_sets(g: Graph, k: int, budget: _Budget) -> tuple[int, ...] | N
             if all(nb & cand for nb in reach):
                 found = place(
                     done + (cand,),
-                    reach + (_neighbourhood(adj, cand),),
+                    reach + (neighbourhood(adj, cand),),
                     avail & ~cand,
                 )
                 if found is not None:
@@ -185,7 +177,8 @@ def _general_minor_sets(
     host: Graph, target: Graph, budget: _Budget
 ) -> tuple[int, ...] | None:
     """Branch-set masks indexed by target vertex, for an arbitrary target."""
-    order = sorted(range(target.n), key=lambda i: (-target.degree(i), i))
+    tadj = target._adj
+    order = sorted(range(target.n), key=lambda i: (-tadj[i].bit_count(), i))
     adj = host._adj
 
     def place(done: tuple[int, ...], reach: tuple[int, ...], avail: int):
@@ -194,13 +187,13 @@ def _general_minor_sets(
         if pos == target.n:
             return done
         tv = order[pos]
-        required = [reach[i] for i in range(pos) if target.has_edge(tv, order[i])]
+        required = [reach[i] for i in range(pos) if tadj[tv] >> order[i] & 1]
         limit = avail.bit_count() - (target.n - pos - 1)
         for v in iter_bits(avail):
             region = avail & ~((1 << v) - 1)
             for cand in _connected_sets(adj, v, region, limit, budget):
                 if all(nb & cand for nb in required):
-                    nb = _neighbourhood(adj, cand)
+                    nb = neighbourhood(adj, cand)
                     found = place(done + (cand,), reach + (nb,), avail & ~cand)
                     if found is not None:
                         return found
@@ -216,10 +209,7 @@ def _is_complete(g: Graph) -> bool:
 
 def _checked(host: Graph, target: Graph, sets: tuple[int, ...]) -> MinorModel:
     model = MinorModel(tuple(frozenset(iter_bits(m)) for m in sets))
-    check = verify_minor_model(host, model, target)
-    if not check.ok:
-        raise ConsistencyError(f"oracle produced an invalid witness: {check.reason}")
-    return model
+    return checked_model(host, model, target, "oracle witness")
 
 
 def has_minor(query: MinorQuery) -> MinorOutcome:

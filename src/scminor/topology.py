@@ -24,23 +24,11 @@ import itertools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .graphs import Graph, ConsistencyError, induced_subgraph, iter_bits
+from .graphs import Graph, ConsistencyError, induced_subgraph, iter_bits, neighbourhood
 from .antimorphism import find_antimorphism
-from .construction import (
-    MinorModel,
-    build_plan,
-    realize_minor,
-    verify_minor_model,
-)
+from .construction import MinorModel, build_plan, checked_model, realize_minor
 from .generators import complete_graph, complete_bipartite
-from .oracle import (
-    BUDGET_EXCEEDED,
-    DEFAULT_BUDGET,
-    YES,
-    MinorQuery,
-    _neighbourhood,
-    has_minor,
-)
+from .oracle import BUDGET_EXCEEDED, DEFAULT_BUDGET, YES, MinorQuery, has_minor
 
 CERTIFICATE = "certificate"
 NONE_FOUND = "none_found"
@@ -145,10 +133,10 @@ def _fragments(
     while left:
         comp = frontier = left & -left
         while frontier:
-            frontier = _neighbourhood(adj, frontier) & left & ~comp
+            frontier = neighbourhood(adj, frontier) & left & ~comp
             comp |= frontier
         left &= ~comp
-        yield _neighbourhood(adj, comp) & hv, comp
+        yield neighbourhood(adj, comp) & hv, comp
 
 
 def _block_planar(adj: Sequence[int], block: int) -> bool:
@@ -230,15 +218,21 @@ def _planar_masks(adj: Sequence[int]) -> bool:
     return True
 
 
-def _planar(g: Graph, apex: bool) -> bool:
-    """Planarity of g, with one extra vertex joined to all of g if ``apex``.
+def _masks(g: Graph, apex: bool) -> Sequence[int]:
+    """The adjacency masks of g, plus vertex g.n joined to all of g if ``apex``."""
+    if not apex:
+        return g._adj
+    return [a | 1 << g.n for a in g._adj] + [(1 << g.n) - 1]
 
-    Edge counts decide first.  A non-planar graph has a K5 or K3,3 minor,
-    so at least 9 edges; a non-outerplanar one has a K4 or K2,3 minor, so
-    at least 6.  Fewer edges therefore mean yes.  More than 3n - 6 edges
-    (planar) or 2n - 3 (outerplanar) mean no, by Euler's formula; a graph
-    that gets that far has at least 6 edges, so n >= 4 and the formula
-    applies.  What the counts leave open goes to ``_planar_masks``.
+
+def _planar_by_count(g: Graph, apex: bool) -> bool | None:
+    """Planarity of ``_masks(g, apex)`` where the edge count of g settles it, else None.
+
+    A non-planar graph has a K5 or K3,3 minor, so at least 9 edges; a
+    non-outerplanar one has a K4 or K2,3 minor, so at least 6.  Fewer edges
+    therefore mean yes.  More than 3n - 6 edges (planar) or 2n - 3
+    (outerplanar) mean no, by Euler's formula; a graph that gets that far
+    has at least 6 edges, so n >= 4 and the formula applies.
     """
     m = g.num_edges
     fewest, most = (6, 2 * g.n - 3) if apex else (9, 3 * g.n - 6)
@@ -246,10 +240,14 @@ def _planar(g: Graph, apex: bool) -> bool:
         return True
     if m > most:
         return False
-    adj: Sequence[int] = g._adj
-    if apex:
-        adj = [a | 1 << g.n for a in adj] + [(1 << g.n) - 1]
-    return _planar_masks(adj)
+    return None
+
+
+def _planar(g: Graph, apex: bool) -> bool:
+    """Planarity of g, with one extra vertex joined to all of g if ``apex``:
+    by edge counts first, then by ``_planar_masks``."""
+    known = _planar_by_count(g, apex)
+    return _planar_masks(_masks(g, apex)) if known is None else known
 
 
 def is_planar(g: Graph) -> bool:
@@ -266,50 +264,47 @@ def is_outerplanar(g: Graph) -> bool:
     return _planar(g, apex=True)
 
 
-def _smoothed_paths(adj: dict[int, set[int]]) -> dict[tuple[int, int], list[int]]:
+def _smoothed_paths(adj: Sequence[int]) -> dict[tuple[int, int], list[int]]:
     """The paths between vertices of degree >= 3 through vertices of degree 2.
 
     Keyed by their ends, lesser first, with the inner vertices listed from
     that end.  A loop, or a second path between the same ends, is left out.
-    Every vertex must have degree >= 2, so each walk ends at a branch vertex.
+    Every vertex must have degree 0 or >= 2, so each walk ends at a branch vertex.
     """
     paths: dict[tuple[int, int], list[int]] = {}
-    for u in sorted(adj):
-        if len(adj[u]) < 3:
+    for u, nbrs in enumerate(adj):
+        if nbrs.bit_count() < 3:
             continue
-        for v in sorted(adj[u]):
+        for v in iter_bits(nbrs):
             prev, inner = u, []
-            while len(adj[v]) == 2:
+            while adj[v].bit_count() == 2:
                 inner.append(v)
-                prev, v = v, next(w for w in adj[v] if w != prev)
+                prev, v = v, (adj[v] & ~(1 << prev)).bit_length() - 1
             if u < v:
                 paths.setdefault((u, v), inner)
     return paths
 
 
-def _kuratowski_subgraph(adj: dict[int, set[int]]) -> dict[int, set[int]] | None:
+def _kuratowski_subgraph(adj: Sequence[int]) -> list[int] | None:
     """An edge-minimal non-planar subgraph of ``adj``, or None if it is planar.
 
     Such a subgraph is a subdivision of K5 or K3,3.  Neither removing a
     vertex of degree <= 1 nor smoothing a path through vertices of degree 2
     into one edge changes planarity (nor does dropping a loop or a parallel
-    path), so the graph is reduced that way first, into adjacency masks.
-    Then each vertex, and after that each edge, of the reduced graph is
-    removed in ascending order unless that makes it planar, by one
-    ``_planar_masks`` test each.  An edge kept is needed, and stays so as
-    others go, so one pass leaves a minimal subgraph.  Its edges are
-    expanded back into their paths.
+    path), so the graph is reduced that way first.  Then each vertex, and
+    after that each edge, of the reduced graph is removed in ascending order
+    unless that makes it planar, by one ``_planar_masks`` test each (none
+    for a vertex with no edges left).  An edge kept is needed, and stays so as others go, so one pass leaves a
+    minimal subgraph.  Its edges are expanded back into their paths.
     """
-    adj = {v: set(nb) for v, nb in adj.items()}
-    low = [v for v, nb in adj.items() if len(nb) < 2]
-    while low:
-        v = low.pop()
-        for w in adj.pop(v, ()):
-            adj[w].discard(v)
-            if len(adj[w]) == 1:
-                low.append(w)
-    paths = _smoothed_paths(adj)
-    reduced = [0] * (max((w for _, w in paths), default=-1) + 1)
+    core = (1 << len(adj)) - 1
+    while True:
+        low = sum(1 << v for v in iter_bits(core) if (adj[v] & core).bit_count() < 2)
+        if not low:
+            break
+        core &= ~low
+    paths = _smoothed_paths([m & core if core >> v & 1 else 0 for v, m in enumerate(adj)])
+    reduced = [0] * len(adj)
 
     def toggle(u: int, w: int) -> None:
         reduced[u] ^= 1 << w
@@ -322,7 +317,7 @@ def _kuratowski_subgraph(adj: dict[int, set[int]]) -> dict[int, set[int]] | None
     for v, nbrs in enumerate(reduced):
         for w in iter_bits(nbrs):
             toggle(v, w)
-        if _planar_masks(reduced):
+        if nbrs and _planar_masks(reduced):
             for w in iter_bits(nbrs):
                 toggle(v, w)
     for u, w in sorted(paths):
@@ -330,46 +325,41 @@ def _kuratowski_subgraph(adj: dict[int, set[int]]) -> dict[int, set[int]] | None
             toggle(u, w)
             if _planar_masks(reduced):
                 toggle(u, w)
-    sub: dict[int, set[int]] = {}
+    sub = [0] * len(adj)
     for (u, w), inner in paths.items():
         if reduced[u] >> w & 1:
             walk = [u, *inner, w]
             for a, b in zip(walk, walk[1:]):
-                sub.setdefault(a, set()).add(b)
-                sub.setdefault(b, set()).add(a)
+                sub[a] |= 1 << b
+                sub[b] |= 1 << a
     return sub
 
 
 def _kuratowski_witness(g: Graph, apex: bool) -> CertificateSearch:
     """A verified K5 or K3,3 minor of g, or with ``apex`` a K4 or K2,3 one.
 
-    The Kuratowski subgraph is taken from g, plus the apex, vertex g.n,
-    joined to all of g if ``apex``.  Its branch vertices are those of
-    degree at least 3; the inner vertices of each subdivided path join the
-    branch set of the path's lesser end, so every set is connected and
-    every path joins two sets.  With ``apex`` one set is dropped: the one
-    holding the apex, else the last.  That leaves K4 of K5 and K2,3 of K3,3,
-    and no kept set holds the apex: as the greatest label it is a branch
-    vertex alone or an inner vertex of a path, which belongs to that path's
-    lesser end.
+    The Kuratowski subgraph is taken from ``_masks(g, apex)``: g, plus the
+    apex, vertex g.n, joined to all of g if ``apex``.  Its branch vertices
+    are those of degree at least 3; the inner vertices of each subdivided
+    path join the branch set of the path's lesser end, so every set is
+    connected and every path joins two sets.  With ``apex`` one set is
+    dropped: the one holding the apex, else the last.  That leaves K4 of
+    K5 and K2,3 of K3,3, and no kept set holds the apex: as the greatest
+    label it is a branch vertex alone or an inner vertex of a path, which
+    belongs to that path's lesser end.
     """
-    if g.num_edges < (6 if apex else 9):
+    if _planar_by_count(g, apex):
         return CertificateSearch(NONE_FOUND)
-    adj = {v: set(iter_bits(g._adj[v])) for v in range(g.n)}
-    if apex:
-        adj[g.n] = set(range(g.n))
-        for v in range(g.n):
-            adj[v].add(g.n)
-    sub = _kuratowski_subgraph(adj)
+    sub = _kuratowski_subgraph(_masks(g, apex))
     if sub is None:
         return CertificateSearch(NONE_FOUND)
     paths = _smoothed_paths(sub)
     branch = sorted({b for ends in paths for b in ends})
-    sets = {b: {b} for b in branch}
+    sets = {b: 1 << b for b in branch}
     for (u, _), inner in paths.items():
-        sets[u].update(inner)
+        sets[u] |= sum(1 << v for v in inner)
     if apex:
-        branch.remove(next((b for b in branch if g.n in sets[b]), branch[-1]))
+        branch.remove(next((b for b in branch if sets[b] >> g.n & 1), branch[-1]))
     if len(sets) == 5:
         name, target = ("K4", complete_graph(4)) if apex else ("K5", complete_graph(5))
     else:
@@ -379,10 +369,8 @@ def _kuratowski_witness(g: Graph, apex: bool) -> CertificateSearch:
         rest = [b for b in branch if b not in part]
         branch = part + rest if len(part) <= len(rest) else rest + part
         name, target = ("K2,3", complete_bipartite(2, 3)) if apex else ("K3,3", complete_bipartite(3, 3))
-    model = MinorModel(tuple(frozenset(sets[b]) for b in branch))
-    check = verify_minor_model(g, model, target)
-    if not check.ok:
-        raise ConsistencyError(f"Kuratowski witness failed verification: {check.reason}")
+    model = MinorModel(tuple(frozenset(iter_bits(sets[b])) for b in branch))
+    checked_model(g, model, target, "Kuratowski witness")
     return CertificateSearch(CERTIFICATE, name, model)
 
 
@@ -430,9 +418,7 @@ def _complete_certificate(
     name = f"K{order}"
     if model is not None and model.k >= order:
         prefix = MinorModel(model.branch_sets[:order])
-        check = verify_minor_model(g, prefix, complete_graph(order))
-        if not check.ok:
-            raise ConsistencyError(f"trimmed constructive certificate failed: {check.reason}")
+        checked_model(g, prefix, complete_graph(order), "trimmed constructive certificate")
         return CertificateSearch(CERTIFICATE, name, prefix)
     if deleted is not None and len(deleted) <= order - 5:
         return CertificateSearch(NONE_FOUND, name)

@@ -400,3 +400,205 @@ def reference_verify_minor_model(g: Graph, model, target: Graph):
         if not any(g.neighbor_mask(v) & masks[j] for v in sets[i]):
             return ModelCheck(False, "no host edge between branch sets", (i, j))
     return ModelCheck(True)
+
+
+def reference_write_graph6(g: Graph) -> str:
+    """``graphs.write_graph6`` as it was before the shared bit packer: the body
+    is kept verbatim, reading one upper-triangle bit at a time."""
+    from scminor.graphs import GRAPH6_MAX, CapacityError
+
+    if g.n > GRAPH6_MAX:
+        raise CapacityError(f"graph6 short form supports n <= {GRAPH6_MAX}, got {g.n}")
+    out = [chr(63 + g.n)]
+    acc = 0
+    nbits = 0
+    for col in range(1, g.n):
+        for row in range(col):
+            acc = (acc << 1) | ((g.neighbor_mask(row) >> col) & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(chr(63 + acc))
+                acc = 0
+                nbits = 0
+    if nbits:
+        out.append(chr(63 + (acc << (6 - nbits))))
+    return "".join(out)
+
+
+def reference_parse_graph6(text: str) -> Graph:
+    """``graphs.parse_graph6`` as it was before it decoded into masks: the body
+    is kept verbatim, collecting an edge list bit by bit."""
+    from scminor.graphs import GRAPH6_MAX, GRAPH6_WHITESPACE, Graph6Error
+
+    s = text.strip(GRAPH6_WHITESPACE)
+    if not s:
+        raise Graph6Error("empty graph6 string", 0)
+    head = ord(s[0])
+    if head == 126:
+        raise Graph6Error("multi-byte vertex counts (n > 62) are not supported", 0)
+    if not 63 <= head <= 63 + GRAPH6_MAX:
+        raise Graph6Error(f"invalid vertex-count byte {s[0]!r}", 0)
+    n = head - 63
+    npairs = n * (n - 1) // 2
+    need = (npairs + 5) // 6
+    if len(s) - 1 != need:
+        raise Graph6Error(
+            f"expected {need} data bytes for n={n}, got {len(s) - 1}", len(s)
+        )
+    bits = 0
+    for idx in range(1, len(s)):
+        val = ord(s[idx]) - 63
+        if not 0 <= val <= 63:
+            raise Graph6Error(f"invalid graph6 byte {s[idx]!r}", idx)
+        bits = (bits << 6) | val
+    total_bits = 6 * need
+    pad = total_bits - npairs
+    if pad and bits & ((1 << pad) - 1):
+        raise Graph6Error("nonzero padding bits", len(s) - 1)
+    edges = []
+    pos = 0
+    for col in range(1, n):
+        for row in range(col):
+            if (bits >> (total_bits - 1 - pos)) & 1:
+                edges.append((row, col))
+            pos += 1
+    return Graph(n, edges)
+
+
+def reference_contract_matching(g: Graph, matching) -> tuple[Graph, dict[int, int]]:
+    """``graphs.contract_matching`` as it was before it built masks: the body
+    is kept verbatim, relabelling the host's edge list."""
+    from scminor import MatchingError
+
+    pairs = [tuple(e) for e in matching]
+    label: dict[int, int] = {}
+    for i, pair in enumerate(pairs):
+        if len(pair) != 2:
+            raise MatchingError(f"matching entry {pair!r} is not a vertex pair")
+        u, v = pair
+        if not (0 <= u < g.n and 0 <= v < g.n) or u == v or not g.has_edge(u, v):
+            raise MatchingError(f"({u}, {v}) is not an edge of the host graph")
+        if u in label or v in label:
+            raise MatchingError(f"edge ({u}, {v}) overlaps an earlier matching edge")
+        label[u] = label[v] = i
+    nxt = len(pairs)
+    for v in range(g.n):
+        if v not in label:
+            label[v] = nxt
+            nxt += 1
+    edges = set()
+    for u, v in g.edges():
+        a, b = label[u], label[v]
+        if a != b:
+            edges.add((min(a, b), max(a, b)))
+    return Graph(nxt, edges), label
+
+
+def reference_join(g1: Graph, g2: Graph) -> Graph:
+    """``graphs.join`` as it was before it built masks: the body is kept
+    verbatim, from the two edge lists and the cross pairs."""
+    n1 = g1.n
+    edges = list(g1.edges())
+    edges += [(u + n1, v + n1) for u, v in g2.edges()]
+    edges += [(u, v + n1) for u in range(n1) for v in range(g2.n)]
+    return Graph(n1 + g2.n, edges)
+
+
+def _reference_smoothed_paths(adj: dict[int, set[int]]) -> dict[tuple[int, int], list[int]]:
+    paths: dict[tuple[int, int], list[int]] = {}
+    for u in sorted(adj):
+        if len(adj[u]) < 3:
+            continue
+        for v in sorted(adj[u]):
+            prev, inner = u, []
+            while len(adj[v]) == 2:
+                inner.append(v)
+                prev, v = v, next(w for w in adj[v] if w != prev)
+            if u < v:
+                paths.setdefault((u, v), inner)
+    return paths
+
+
+def _reference_kuratowski_subgraph(adj: dict[int, set[int]]) -> dict[int, set[int]] | None:
+    from scminor.graphs import iter_bits
+    from scminor.topology import _planar_masks
+
+    adj = {v: set(nb) for v, nb in adj.items()}
+    low = [v for v, nb in adj.items() if len(nb) < 2]
+    while low:
+        v = low.pop()
+        for w in adj.pop(v, ()):
+            adj[w].discard(v)
+            if len(adj[w]) == 1:
+                low.append(w)
+    paths = _reference_smoothed_paths(adj)
+    reduced = [0] * (max((w for _, w in paths), default=-1) + 1)
+
+    def toggle(u: int, w: int) -> None:
+        reduced[u] ^= 1 << w
+        reduced[w] ^= 1 << u
+
+    for u, w in paths:
+        toggle(u, w)
+    if _planar_masks(reduced):
+        return None
+    for v, nbrs in enumerate(reduced):
+        for w in iter_bits(nbrs):
+            toggle(v, w)
+        if _planar_masks(reduced):
+            for w in iter_bits(nbrs):
+                toggle(v, w)
+    for u, w in sorted(paths):
+        if reduced[u] >> w & 1:
+            toggle(u, w)
+            if _planar_masks(reduced):
+                toggle(u, w)
+    sub: dict[int, set[int]] = {}
+    for (u, w), inner in paths.items():
+        if reduced[u] >> w & 1:
+            walk = [u, *inner, w]
+            for a, b in zip(walk, walk[1:]):
+                sub.setdefault(a, set()).add(b)
+                sub.setdefault(b, set()).add(a)
+    return sub
+
+
+def reference_kuratowski_witness(g: Graph, apex: bool):
+    """``topology._kuratowski_witness`` as it was before it read adjacency
+    masks: the body and its two helpers are kept verbatim, on dict-of-sets
+    copies of the graph (the helpers lose only their docstrings)."""
+    from scminor.graphs import ConsistencyError, iter_bits
+    from scminor.construction import MinorModel, verify_minor_model
+    from scminor.generators import complete_bipartite, complete_graph
+    from scminor.topology import CERTIFICATE, NONE_FOUND, CertificateSearch
+
+    if g.num_edges < (6 if apex else 9):
+        return CertificateSearch(NONE_FOUND)
+    adj = {v: set(iter_bits(g.neighbor_mask(v))) for v in range(g.n)}
+    if apex:
+        adj[g.n] = set(range(g.n))
+        for v in range(g.n):
+            adj[v].add(g.n)
+    sub = _reference_kuratowski_subgraph(adj)
+    if sub is None:
+        return CertificateSearch(NONE_FOUND)
+    paths = _reference_smoothed_paths(sub)
+    branch = sorted({b for ends in paths for b in ends})
+    sets = {b: {b} for b in branch}
+    for (u, _), inner in paths.items():
+        sets[u].update(inner)
+    if apex:
+        branch.remove(next((b for b in branch if g.n in sets[b]), branch[-1]))
+    if len(sets) == 5:
+        name, target = ("K4", complete_graph(4)) if apex else ("K5", complete_graph(5))
+    else:
+        first = branch[0]
+        part = [b for b in branch if (min(first, b), max(first, b)) not in paths]
+        rest = [b for b in branch if b not in part]
+        branch = part + rest if len(part) <= len(rest) else rest + part
+        name, target = ("K2,3", complete_bipartite(2, 3)) if apex else ("K3,3", complete_bipartite(3, 3))
+    model = MinorModel(tuple(frozenset(sets[b]) for b in branch))
+    check = verify_minor_model(g, model, target)
+    if not check.ok:
+        raise ConsistencyError(f"Kuratowski witness failed verification: {check.reason}")
+    return CertificateSearch(CERTIFICATE, name, model)

@@ -27,6 +27,10 @@ from conftest import (
     iso_classes_up_to,
     random_graph,
     reference_canonical_form,
+    reference_contract_matching,
+    reference_join,
+    reference_parse_graph6,
+    reference_write_graph6,
 )
 
 
@@ -358,3 +362,80 @@ def test_canonical_form_of_regular_sc_graphs(base, p0, p1, p2):
     form = canonical_form(g)
     assert canonical_form(relabelled(g, p1)) == form
     assert canonical_form(complement(relabelled(g, p2))) == form
+
+
+# -- mask-built operations against their edge-list references ---------------
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the class, text and offset it raises."""
+    try:
+        return "returned", fn(*args)
+    except Exception as exc:  # compared as data below
+        return "raised", type(exc), str(exc), getattr(exc, "offset", None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 62), st.floats(0.0, 1.0), st.integers(0, 2**32))
+def test_graph6_round_trip_matches_the_edge_list_reference(n, p, seed):
+    g = random_graph(random.Random(seed), n, p)
+    text = write_graph6(g)
+    assert text == reference_write_graph6(g)
+    assert parse_graph6(text) == reference_parse_graph6(text) == g
+
+
+_GRAPH6_BYTES = st.one_of(
+    st.characters(min_codepoint=63, max_codepoint=126),
+    st.sampled_from(" \t\n\r\x0b\x0c\x1c\x1f\x85\xa0"),
+    st.characters(max_codepoint=0x2FF),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 62), st.floats(0.0, 1.0), st.integers(0, 2**32), st.data())
+def test_malformed_graph6_raises_as_the_edge_list_reference(n, p, seed, data):
+    text = write_graph6(random_graph(random.Random(seed), n, p))
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(text)))
+        byte = data.draw(_GRAPH6_BYTES)
+        edit = data.draw(st.sampled_from(("insert", "replace", "delete", "cut")))
+        if edit == "insert":
+            text = text[:at] + byte + text[at:]
+        elif edit == "replace":
+            text = text[:at] + byte + text[at + 1 :]
+        elif edit == "delete":
+            text = text[:at] + text[at + 1 :]
+        else:
+            text = text[:at]
+    assert _outcome(parse_graph6, text) == _outcome(reference_parse_graph6, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 40), st.floats(0.0, 1.0), st.integers(0, 2**32))
+def test_join_matches_the_edge_list_reference(n1, n2, p, seed):
+    rng = random.Random(seed)
+    g1, g2 = random_graph(rng, n1, p), random_graph(rng, n2, 1 - p)
+    assert _outcome(join, g1, g2) == _outcome(reference_join, g1, g2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 16), st.floats(0.0, 1.0), st.integers(0, 2**32), st.data())
+def test_contract_matching_matches_the_edge_list_reference(n, p, seed, data):
+    g = random_graph(random.Random(seed), n, p)
+    edges = g.edges()
+    matching = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        kind = data.draw(st.sampled_from(("edge", "edge", "pair", "short", "long")))
+        if kind == "edge" and edges:
+            matching.append(data.draw(st.sampled_from(edges)))
+        elif kind == "pair":
+            matching.append(tuple(data.draw(st.integers(-1, n)) for _ in range(2)))
+        elif kind == "short":
+            matching.append((data.draw(st.integers(0, max(n - 1, 0))),))
+        elif kind == "long":
+            matching.append((0, 1, 2))
+    new = _outcome(contract_matching, g, matching)
+    old = _outcome(reference_contract_matching, g, matching)
+    assert new == old
+    if new[0] == "returned":
+        assert list(new[1][1].items()) == list(old[1][1].items())

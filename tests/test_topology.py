@@ -28,7 +28,14 @@ from scminor import (
     sharp_4n,
     verify_minor_model,
 )
-from conftest import all_labeled_graphs, iso_classes_up_to, random_graph, reference_report, sc_classes
+from conftest import (
+    all_labeled_graphs,
+    iso_classes_up_to,
+    random_graph,
+    reference_kuratowski_witness,
+    reference_report,
+    sc_classes,
+)
 from hypothesis import given, settings, strategies as st
 import networkx as nx
 import random
@@ -578,3 +585,51 @@ def test_kuratowski_witnesses_on_every_graph_up_to_six_vertices():
     for graphs in iso_classes_up_to(6).values():
         for g in graphs:
             _check_kuratowski_witnesses(g)
+
+
+def _same_witnesses_as_the_dict_reference(g: Graph) -> None:
+    for witness, apex in ((nonplanarity_witness, False), (nonouterplanarity_witness, True)):
+        new, old = witness(g), reference_kuratowski_witness(g, apex)
+        assert (new.status, new.target, new.model) == (old.status, old.target, old.model)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 12),
+    st.floats(0.0, 1.0),
+    st.integers(0, 12),
+    st.integers(0, 3),
+    st.integers(0, 2**32),
+)
+def test_kuratowski_witnesses_equal_the_dict_of_sets_reference(n, p, cuts, pendants, seed):
+    # some edges subdivided and some pendant vertices added, so that the
+    # pruning to the 2-core and the smoothing of degree-2 paths both run
+    rng = random.Random(seed)
+    g = random_graph(rng, n, p)
+    edges = g.edges()
+    rng.shuffle(edges)
+    cut = edges[: min(cuts, 12 - n)]
+    edges = [e for e in edges if e not in cut]
+    edges += [e for i, (u, v) in enumerate(cut) for e in ((u, n + i), (n + i, v))]
+    m = n + len(cut)
+    k = min(pendants, 12 - m) if m else 0
+    edges += [(rng.randrange(w), w) for w in range(m, m + k)]
+    g = Graph(m + k, edges)
+    _same_witnesses_as_the_dict_reference(g)
+
+
+def test_kuratowski_witnesses_equal_the_dict_of_sets_reference_on_fixed_graphs():
+    # the last: vertex 2 has degree 2 once its pendant neighbour 9 is pruned,
+    # so it is smoothed only when the 2-core is taken first
+    hanging = [(0, 1), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 10), (1, 3), (1, 4)]
+    hanging += [(1, 6), (1, 7), (1, 8), (2, 3), (2, 6), (2, 9), (3, 4), (3, 5), (3, 6)]
+    hanging += [(3, 7), (4, 6), (4, 7), (6, 7)]
+    for g in (
+        _subdivided(complete_bipartite(3, 3), 2),
+        _subdivided(complete_graph(5), 1),
+        _subdivided(complete_graph(4), 2),
+        _subdivided(cycle_graph(5), 3),
+        sharp_4n(3),
+        Graph(11, hanging),
+    ):
+        _same_witnesses_as_the_dict_reference(g)
