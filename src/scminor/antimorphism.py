@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from .graphs import ConsistencyError, Graph, induced_subgraph, iter_bits
+from .graphs import ConsistencyError, Graph, iter_bits
 
 
 class Permutation:
@@ -202,28 +202,39 @@ class SidePartition:
     cross: Graph
 
 
-def side_partition(g: Graph, rho: Permutation) -> SidePartition:
-    """Split by the degree threshold and collect the cross edges.
+def _degree_split(g: Graph, rho: Permutation, rest: int) -> int:
+    """The high side of the degree split of g on ``rest``, as a mask.
 
-    The antimorphism swaps the two sides (so each has 2k vertices), the two
-    induced halves are complements of each other under it, and the cross
-    subgraph has exactly 2k^2 edges; the swap and the count are re-checked.
+    ``rest`` holds the n = 4k vertices that rho does not fix, and the high
+    side is those with at least 2k neighbours in ``rest``.  The
+    antimorphism swaps the two sides (so each has 2k vertices), and 2k^2
+    edges of ``rest`` cross between them; the swap and the count are
+    re-checked.
     """
-    n = g.n
+    n = rest.bit_count()
     if n % 4 != 0:
         raise ValueError(f"degree split needs n = 4k, got n={n}")
     if not is_antimorphism(g, rho):
         raise ValueError("permutation is not an antimorphism of the graph")
     k = n // 4
-    side = sum(1 << v for v in range(n) if g.degree(v) >= 2 * k)
+    high = sum(1 << v for v in iter_bits(rest) if (g._adj[v] & rest).bit_count() >= 2 * k)
+    low = rest & ~high
+    cross = sum((g._adj[v] & low).bit_count() for v in iter_bits(high))
+    if sum(1 << rho(v) for v in iter_bits(high)) != low or cross != 2 * k * k:
+        raise ConsistencyError("rho does not swap the degree sides across 2k^2 cross edges")
+    return high
+
+
+def side_partition(g: Graph, rho: Permutation) -> SidePartition:
+    """Split by the degree threshold (``_degree_split``) and collect the
+    cross edges; the two induced halves are complements of each other
+    under rho."""
+    side = _degree_split(g, rho, (1 << g.n) - 1)
     cross = Graph._from_adj(
         m & ~side if side >> v & 1 else m & side for v, m in enumerate(g._adj)
     )
     high = frozenset(iter_bits(side))
-    low = frozenset(range(n)) - high
-    if {rho(v) for v in high} != low or cross.num_edges != 2 * k * k:
-        raise ConsistencyError("rho does not swap the degree sides across 2k^2 cross edges")
-    return SidePartition(high, low, cross)
+    return SidePartition(high, frozenset(range(g.n)) - high, cross)
 
 
 def _validate_cycle(p: Permutation, cycle: Sequence[int]) -> tuple[int, ...]:
@@ -245,34 +256,22 @@ def cycle_side_counts(
     A cycle of length 4m contributes 2m vertices to each side, and each of
     its vertices has exactly m neighbours inside the cycle on the opposite
     side.  Returns (count on high side, count on low side, per-vertex cross
-    degree in cycle order).  For n = 4k + 1 the fixed point is stripped and
-    the split is taken in the remaining induced subgraph.
+    degree in cycle order).  For n = 4k + 1 the split is taken among the
+    vertices other than the fixed point.
     """
     cyc = _validate_cycle(rho, cycle)
     if len(cyc) % 4 != 0:
         raise ValueError(f"cycle length {len(cyc)} is not divisible by 4")
+    rest = (1 << g.n) - 1
     if g.n % 4 == 1:
-        dec = cycle_decomposition(rho)
-        if len(dec.fixed_points) != 1:
+        fixed = cycle_decomposition(rho).fixed_points
+        if len(fixed) != 1:
             raise ValueError("expected exactly one fixed point for n = 4k + 1")
-        fixed = dec.fixed_points[0]
-        keep = [v for v in range(g.n) if v != fixed]
-        sub, relabel = induced_subgraph(g, keep)
-        sub_rho = Permutation(
-            [relabel[rho(old)] for old in keep]
-        )
-        mapped = [relabel[v] for v in cyc]
-        return cycle_side_counts(sub, sub_rho, mapped)
-    part = side_partition(g, rho)
-    in_high = sum(1 for v in cyc if v in part.high)
-    in_low = len(cyc) - in_high
-    members = set(cyc)
+        rest &= ~(1 << fixed[0])
+    high = _degree_split(g, rho, rest)
+    members = sum(1 << v for v in cyc)
+    in_high = (members & high).bit_count()
     per_vertex = tuple(
-        sum(
-            1
-            for u in iter_bits(g.neighbor_mask(v))
-            if u in members and (u in part.high) != (v in part.high)
-        )
-        for v in cyc
+        (g._adj[v] & members & (~high if high >> v & 1 else high)).bit_count() for v in cyc
     )
-    return in_high, in_low, per_vertex
+    return in_high, len(cyc) - in_high, per_vertex

@@ -1,21 +1,23 @@
 """Topological predicates driven by excluded minors.
 
-Outerplanarity and planarity are settled by exact edge-count rules where
-they can be: fewer than 9 edges means planar and fewer than 6 outerplanar
-(no minor has more edges than its host, K3,3 has 9 and K4 and K2,3 have 6);
-more than 3n - 6 edges means not planar and more than 2n - 3 not
-outerplanar (Euler's formula).  What the counts leave open goes to a
-path-embedding planarity test on adjacency masks (a graph is outerplanar
-iff adding an apex joined to everything keeps it planar).  Excluded-minor
-witnesses are read off a Kuratowski subgraph, found with one such test per
-vertex and per edge of the graph with its degree-2 paths smoothed, and
-verified; no exponential search runs for them.  Intrinsic linking and
-knotting are reported as one-sided certificates: a complete minor of order
-6 (resp. 7) proves the property, its absence proves nothing, and the result
-type keeps that distinction explicit.  In a report, "none found" for K6
-(resp. K7) may come from the apex search instead of the minor oracle: a
-j-apex graph has no K_{5+j} minor, since deleting j vertices removes at
-most j branch sets and a planar graph has no K5 minor.
+Planarity is decided by one test on adjacency masks, which starts with
+exact edge-count rules: fewer than 9 edges means planar (a non-planar graph
+has a K5 or K3,3 minor, with 10 or 9 edges, and no minor has more edges
+than its host), and more than 3n - 6 means not planar, n counting only the
+vertices that have a neighbour (Euler's formula).  What the counts leave
+open goes to path embedding.  A graph is outerplanar iff adding an apex
+joined to everything keeps it planar; for g with m edges on n >= 1
+vertices, plus that apex, the same rules read m + n < 9 (outerplanar) and
+m > 2n - 3 (not outerplanar).  Excluded-minor witnesses are read off a
+Kuratowski subgraph, found with one such test per vertex and per edge of
+the graph with its degree-2 paths smoothed, and verified; no exponential
+search runs for them.  Intrinsic linking and knotting are reported as
+one-sided certificates: a complete minor of order 6 (resp. 7) proves the
+property, its absence proves nothing, and the result type keeps that
+distinction explicit.  In a report, "none found" for K6 (resp. K7) may
+come from the apex search instead of the minor oracle: a j-apex graph has
+no K_{5+j} minor, since deleting j vertices removes at most j branch sets
+and a planar graph has no K5 minor.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import itertools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .graphs import Graph, ConsistencyError, induced_subgraph, iter_bits, neighbourhood
+from .graphs import Graph, ConsistencyError, iter_bits, neighbourhood
 from .antimorphism import find_antimorphism
 from .construction import MinorModel, build_plan, checked_model, realize_minor
 from .generators import complete_graph, complete_bipartite
@@ -198,16 +200,23 @@ def _block_planar(adj: Sequence[int], block: int) -> bool:
 def _planar_masks(adj: Sequence[int]) -> bool:
     """Exact planarity of the graph in which vertex v has neighbour mask adj[v].
 
-    A graph is planar iff each of its biconnected blocks is.  A block on at
-    most 4 vertices is planar, one with more than 3n - 6 edges is not
-    (Euler's formula), and the others go to ``_block_planar``.  That makes
-    at most m - n + 1 rounds, each O(n + m) mask operations to list the
-    fragments plus at most one comparison per fragment and face: O(n^3) on
-    a block within the edge count, not linear time.  Measured against a
-    pure-Python left-right test (Brandes, 2009), which is linear, it is as
-    fast on 64-vertex maximal planar graphs and about six times faster on
-    the 8- and 9-vertex graphs that the apex search asks about.
+    The edge-count rules of the module docstring come first; 9 edges need
+    n >= 5, where Euler's formula holds.  Otherwise the graph is planar iff
+    each of its biconnected blocks is.  A block on at most 4 vertices is
+    planar, one with more than 3n - 6 edges is not, and the others go to
+    ``_block_planar``.  That makes at most m - n + 1 rounds, each O(n + m)
+    mask operations to list the fragments plus at most one comparison per
+    fragment and face: O(n^3) on a block within the edge count, not linear
+    time.  Measured against a pure-Python left-right test (Brandes, 2009),
+    which is linear, it is as fast on 64-vertex maximal planar graphs and
+    about six times faster on the 8- and 9-vertex graphs that the apex
+    search asks about.
     """
+    m = sum(a.bit_count() for a in adj) // 2
+    if m < 9:
+        return True
+    if m > 3 * sum(1 for a in adj if a) - 6:
+        return False
     for block in _blocks(adj):
         n = block.bit_count()
         if n <= 4:
@@ -225,33 +234,8 @@ def _masks(g: Graph, apex: bool) -> Sequence[int]:
     return [a | 1 << g.n for a in g._adj] + [(1 << g.n) - 1]
 
 
-def _planar_by_count(g: Graph, apex: bool) -> bool | None:
-    """Planarity of ``_masks(g, apex)`` where the edge count of g settles it, else None.
-
-    A non-planar graph has a K5 or K3,3 minor, so at least 9 edges; a
-    non-outerplanar one has a K4 or K2,3 minor, so at least 6.  Fewer edges
-    therefore mean yes.  More than 3n - 6 edges (planar) or 2n - 3
-    (outerplanar) mean no, by Euler's formula; a graph that gets that far
-    has at least 6 edges, so n >= 4 and the formula applies.
-    """
-    m = g.num_edges
-    fewest, most = (6, 2 * g.n - 3) if apex else (9, 3 * g.n - 6)
-    if m < fewest:
-        return True
-    if m > most:
-        return False
-    return None
-
-
-def _planar(g: Graph, apex: bool) -> bool:
-    """Planarity of g, with one extra vertex joined to all of g if ``apex``:
-    by edge counts first, then by ``_planar_masks``."""
-    known = _planar_by_count(g, apex)
-    return _planar_masks(_masks(g, apex)) if known is None else known
-
-
 def is_planar(g: Graph) -> bool:
-    return _planar(g, apex=False)
+    return _planar_masks(g._adj)
 
 
 def is_outerplanar(g: Graph) -> bool:
@@ -261,7 +245,7 @@ def is_outerplanar(g: Graph) -> bool:
     The apex exists only in the adjacency masks tested, so a 64-vertex g
     works.
     """
-    return _planar(g, apex=True)
+    return _planar_masks(_masks(g, apex=True))
 
 
 def _smoothed_paths(adj: Sequence[int]) -> dict[tuple[int, int], list[int]]:
@@ -348,8 +332,6 @@ def _kuratowski_witness(g: Graph, apex: bool) -> CertificateSearch:
     label it is a branch vertex alone or an inner vertex of a path, which
     belongs to that path's lesser end.
     """
-    if _planar_by_count(g, apex):
-        return CertificateSearch(NONE_FOUND)
     sub = _kuratowski_subgraph(_masks(g, apex))
     if sub is None:
         return CertificateSearch(NONE_FOUND)
@@ -460,14 +442,15 @@ def is_n_apex(g: Graph, j: int) -> tuple[bool, frozenset[int] | None]:
     """Can deleting at most j vertices make g planar?
 
     Returns the first (smallest, then lexicographically least) working
-    deletion set as a witness.  j = 0 is exactly a planarity test.
+    deletion set as a witness.  j = 0 is exactly a planarity test.  A
+    deleted vertex stays in the graph tested, with its edges cleared.
     """
     _check_apex_parameter(j)
     for size in range(min(j, g.n) + 1):
         for combo in itertools.combinations(range(g.n), size):
-            keep = [v for v in range(g.n) if v not in combo]
-            sub, _ = induced_subgraph(g, keep)
-            if is_planar(sub):
+            gone = sum(1 << v for v in combo)
+            rest = Graph._from_adj(0 if gone >> v & 1 else a & ~gone for v, a in enumerate(g._adj))
+            if is_planar(rest):
                 return True, frozenset(combo)
     return False, None
 

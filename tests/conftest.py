@@ -10,8 +10,10 @@ the library is meaningful evidence.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
+from math import factorial, prod
 
 from scminor import (
     Graph,
@@ -135,15 +137,8 @@ def reference_enumerate_sc(n: int) -> list[Graph]:
     return out
 
 
-def reference_canonical_form(g: Graph) -> list[int]:
-    """The least block string that canonical_form encodes, by a plain search.
-
-    Colours are refined once at the root; the labelings list the colour
-    classes in sorted order, and block i holds the bits of the vertex at
-    position i towards positions 0..i-1, position 0 first.  Every labeling
-    whose prefix ties the best so far is followed to a leaf: no twin or
-    open-cell rule.
-    """
+def reference_refined_colors(g: Graph) -> list[int]:
+    """Each vertex's colour after plain colour refinement from one colour."""
     n = g.n
     adj = [g.neighbor_mask(v) for v in range(n)]
     colors = [0] * n
@@ -157,7 +152,27 @@ def reference_canonical_form(g: Graph) -> list[int]:
         done = len(table) == len(set(colors))
         colors = refined
         if done:
-            break
+            return colors
+
+
+def reference_tied_labelings(g: Graph) -> int:
+    """How many labelings ``reference_canonical_form`` may follow at most:
+    the product of the factorials of the refined colour class sizes."""
+    return prod(factorial(size) for size in Counter(reference_refined_colors(g)).values())
+
+
+def reference_canonical_form(g: Graph) -> list[int]:
+    """The least block string that canonical_form encodes, by a plain search.
+
+    Colours are refined once at the root; the labelings list the colour
+    classes in sorted order, and block i holds the bits of the vertex at
+    position i towards positions 0..i-1, position 0 first.  Every labeling
+    whose prefix ties the best so far is followed to a leaf: no twin or
+    open-cell rule.
+    """
+    n = g.n
+    adj = [g.neighbor_mask(v) for v in range(n)]
+    colors = reference_refined_colors(g)
     target = sorted(colors)
     best: list[int] | None = None
     placed: list[int] = []
@@ -602,3 +617,117 @@ def reference_kuratowski_witness(g: Graph, apex: bool):
     if not check.ok:
         raise ConsistencyError(f"Kuratowski witness failed verification: {check.reason}")
     return CertificateSearch(CERTIFICATE, name, model)
+
+
+def _reference_planar_masks(adj) -> bool:
+    from scminor.graphs import iter_bits
+    from scminor.topology import _block_planar, _blocks
+
+    for block in _blocks(adj):
+        n = block.bit_count()
+        if n <= 4:
+            continue
+        m = sum((adj[v] & block).bit_count() for v in iter_bits(block)) // 2
+        if m > 3 * n - 6 or not _block_planar(adj, block):
+            return False
+    return True
+
+
+def _reference_planar_by_count(g: Graph, apex: bool) -> bool | None:
+    m = g.num_edges
+    fewest, most = (6, 2 * g.n - 3) if apex else (9, 3 * g.n - 6)
+    if m < fewest:
+        return True
+    if m > most:
+        return False
+    return None
+
+
+def reference_counted_planar(g: Graph, apex: bool) -> bool:
+    """``topology._planar`` as it was before ``_planar_masks`` took the edge
+    count rules: ``_planar_by_count`` first, then the block test without
+    any count rule over the whole graph.  The three bodies are kept
+    verbatim (the helpers lose only their docstrings)."""
+    from scminor.topology import _masks
+
+    known = _reference_planar_by_count(g, apex)
+    return _reference_planar_masks(_masks(g, apex)) if known is None else known
+
+
+def reference_is_n_apex(g: Graph, j: int) -> tuple[bool, frozenset[int] | None]:
+    """``topology.is_n_apex`` as it was before it cleared the masks of the
+    deleted vertices: verbatim, on a relabelled induced subgraph per
+    deletion set, except that ``reference_counted_planar`` tests planarity."""
+    import itertools
+
+    from scminor import induced_subgraph
+    from scminor.topology import _check_apex_parameter
+
+    _check_apex_parameter(j)
+    for size in range(min(j, g.n) + 1):
+        for combo in itertools.combinations(range(g.n), size):
+            keep = [v for v in range(g.n) if v not in combo]
+            sub, _ = induced_subgraph(g, keep)
+            if reference_counted_planar(sub, False):
+                return True, frozenset(combo)
+    return False, None
+
+
+def _reference_side_partition(g: Graph, rho):
+    from scminor.antimorphism import SidePartition, is_antimorphism
+    from scminor.graphs import ConsistencyError, iter_bits
+
+    n = g.n
+    if n % 4 != 0:
+        raise ValueError(f"degree split needs n = 4k, got n={n}")
+    if not is_antimorphism(g, rho):
+        raise ValueError("permutation is not an antimorphism of the graph")
+    k = n // 4
+    side = sum(1 << v for v in range(n) if g.degree(v) >= 2 * k)
+    cross = Graph._from_adj(
+        m & ~side if side >> v & 1 else m & side for v, m in enumerate(g._adj)
+    )
+    high = frozenset(iter_bits(side))
+    low = frozenset(range(n)) - high
+    if {rho(v) for v in high} != low or cross.num_edges != 2 * k * k:
+        raise ConsistencyError("rho does not swap the degree sides across 2k^2 cross edges")
+    return SidePartition(high, low, cross)
+
+
+def reference_cycle_side_counts(g: Graph, rho, cycle) -> tuple[int, int, tuple[int, ...]]:
+    """``antimorphism.cycle_side_counts`` as it was before it read the degree
+    split as a mask: verbatim, with ``side_partition`` as it was then, so
+    that n = 4k + 1 recurses through a relabelled induced subgraph and the
+    sides are tested as frozensets."""
+    from scminor import Permutation, cycle_decomposition, induced_subgraph
+    from scminor.antimorphism import _validate_cycle
+    from scminor.graphs import iter_bits
+
+    cyc = _validate_cycle(rho, cycle)
+    if len(cyc) % 4 != 0:
+        raise ValueError(f"cycle length {len(cyc)} is not divisible by 4")
+    if g.n % 4 == 1:
+        dec = cycle_decomposition(rho)
+        if len(dec.fixed_points) != 1:
+            raise ValueError("expected exactly one fixed point for n = 4k + 1")
+        fixed = dec.fixed_points[0]
+        keep = [v for v in range(g.n) if v != fixed]
+        sub, relabel = induced_subgraph(g, keep)
+        sub_rho = Permutation(
+            [relabel[rho(old)] for old in keep]
+        )
+        mapped = [relabel[v] for v in cyc]
+        return reference_cycle_side_counts(sub, sub_rho, mapped)
+    part = _reference_side_partition(g, rho)
+    in_high = sum(1 for v in cyc if v in part.high)
+    in_low = len(cyc) - in_high
+    members = set(cyc)
+    per_vertex = tuple(
+        sum(
+            1
+            for u in iter_bits(g.neighbor_mask(v))
+            if u in members and (u in part.high) != (v in part.high)
+        )
+        for v in cyc
+    )
+    return in_high, in_low, per_vertex

@@ -2,6 +2,7 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import scminor.antimorphism
 from scminor import (
@@ -18,10 +19,11 @@ from scminor import (
     find_antimorphism,
     is_antimorphism,
     path_graph,
+    random_sc,
     sharp_4n,
     side_partition,
 )
-from conftest import all_labeled_graphs, random_graph, sc_classes
+from conftest import all_labeled_graphs, random_graph, reference_cycle_side_counts, sc_classes
 
 
 def test_permutation_basics():
@@ -200,6 +202,38 @@ def test_cycle_side_counts_rejects_non_cycle():
     rho = find_antimorphism(g)
     with pytest.raises(ValueError):
         cycle_side_counts(g, rho, (0, 1, 2, 3))
+
+
+def _same_side_counts_as_the_reference(g: Graph) -> None:
+    # rho and its inverse: both are antimorphisms, with other cycles
+    rho = find_antimorphism(g)
+    for p in (rho, rho.inverse()):
+        for cyc in cycle_decomposition(p).cycles:
+            assert cycle_side_counts(g, p, cyc) == reference_cycle_side_counts(g, p, cyc)
+
+
+def test_cycle_side_counts_equal_the_reference_on_every_small_sc_class():
+    for n in (4, 5, 8, 9):
+        for g in sc_classes(n):
+            _same_side_counts_as_the_reference(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((12, 13, 61)), st.integers(0, 2**16), st.randoms(use_true_random=False))
+def test_cycle_side_counts_equal_the_reference_on_relabelled_random_sc(n, seed, rng):
+    g = random_sc(n, seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    _same_side_counts_as_the_reference(Graph(n, [(perm[u], perm[v]) for u, v in g.edges()]))
+
+
+def test_cycle_side_counts_reject_a_permutation_that_misses_the_fixed_point():
+    # P4 plus an isolated vertex: rho swaps P4 with its complement but keeps
+    # vertex 4 isolated in both, so it is no antimorphism of the graph
+    g = Graph(5, path_graph(4).edges())
+    rho = Permutation([*find_antimorphism(path_graph(4)).image, 4])
+    with pytest.raises(ValueError, match="not an antimorphism"):
+        cycle_side_counts(g, rho, cycle_decomposition(rho).cycles[0])
 
 
 def test_consecutive_neighbor_property():

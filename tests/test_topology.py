@@ -32,6 +32,8 @@ from conftest import (
     all_labeled_graphs,
     iso_classes_up_to,
     random_graph,
+    reference_counted_planar,
+    reference_is_n_apex,
     reference_kuratowski_witness,
     reference_report,
     sc_classes,
@@ -374,10 +376,66 @@ def test_counting_rules_agree_with_networkx_at_each_threshold(n, which, base, rn
     assert is_outerplanar(g) == reference_planar(g, apex=True)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_planarity_next_to_each_count_threshold_equals_the_reference(core, isolated, rng):
+    """Each base (no edges, maximal outerplanar, maximal planar, K5, K3,3)
+    on ``core`` vertices, cut or filled to m edges at or next to a count
+    rule: m = 8/9/10 and m = 3n' - 6, n' the vertices that have a
+    neighbour, for planarity; m + n = 8/9/10 and m = 2n - 3 on g plus an
+    apex.  ``isolated`` more vertices take no edges, and the labels are
+    shuffled."""
+    n = core + isolated
+    pairs = [(u, v) for u in range(core) for v in range(u + 1, core)]
+    bases = [[]]
+    if core >= 3:
+        bases += [_maximal_edges(rng, core, outer) for outer in (True, False)]
+    if core >= 5:
+        bases.append(complete_graph(5).edges())
+    if core >= 6:
+        bases.append(complete_bipartite(3, 3).edges())
+    counts = (8, 9, 10, 3 * core - 7, 3 * core - 6, 3 * core - 5)
+    counts += (8 - n, 9 - n, 10 - n, 2 * n - 4, 2 * n - 3, 2 * n - 2)
+    label = rng.sample(range(n), n)
+    for base in bases:
+        for m in counts:
+            if not 0 <= m <= len(pairs):
+                continue
+            if len(base) > m:
+                edges = rng.sample(base, m)
+            else:
+                edges = base + rng.sample([e for e in pairs if e not in base], m - len(base))
+            g = Graph(n, [(label[u], label[v]) for u, v in edges])
+            assert is_planar(g) == reference_counted_planar(g, False), g
+            assert is_outerplanar(g) == reference_counted_planar(g, True), g
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 12),
+    st.floats(0.0, 1.0),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.randoms(use_true_random=False),
+)
+def test_apex_deletion_sets_equal_the_induced_subgraph_reference(n, p, pendants, isolated, j, rng):
+    # pendant and isolated vertices are added, and the labels shuffled, so
+    # that deleted and edgeless vertices fall anywhere among the labels
+    g = random_graph(rng, n, p)
+    k = min(pendants, 12 - n) if n else 0
+    edges = g.edges() + [(rng.randrange(w), w) for w in range(n, n + k)]
+    total = n + k + min(isolated, 12 - n - k)
+    label = rng.sample(range(total), total)
+    g = Graph(total, [(label[u], label[v]) for u, v in edges])
+    assert is_n_apex(g, j) == reference_is_n_apex(g, j)
+
+
 def test_mask_planarity_agrees_with_networkx_on_every_small_labelled_graph():
-    """No edge-count rule runs before ``_planar_masks``, unlike in is_planar.
-    networkx runs once per isomorphism class, and the relabellings of the
-    class representatives make up every labelled graph."""
+    """``_planar_masks`` on every labelled graph with at most 6 vertices,
+    with and without an apex.  networkx runs once per isomorphism class,
+    and the relabellings of the class representatives make up every
+    labelled graph."""
     for n, reps in iso_classes_up_to(6).items():
         seen = set()
         for rep in reps:
