@@ -133,8 +133,35 @@ def is_antimorphism(g: Graph, p: Permutation) -> bool:
     return True
 
 
-def find_antimorphism(g: Graph) -> Permutation | None:
-    """Search for an antimorphism; None iff the graph is not self-complementary.
+def _pair_profiles_match(adj: Sequence[int]) -> bool:
+    """True iff g and its complement have the same multiset of pair profiles.
+
+    The profile of a pair u, v is (u ~ v, |N(u) & N(v)|).  In the complement
+    the pair has adjacency 1 - e, with e = [u ~ v], and
+    n - 2 - (deg u - e) - (deg v - e) + |N(u) & N(v)| common neighbours, so
+    both multisets are counted in one pass over g's masks, g's profiles up
+    and the complement's down; they match iff every count ends at zero.
+    """
+    n = len(adj)
+    degrees = [a.bit_count() for a in adj]
+    # a profile (e, c) is counted at index e * n + c, with c <= n - 2
+    balance = [0] * (2 * n)
+    for u in range(n):
+        au = adj[u]
+        base = n - 2 - degrees[u]
+        for v in range(u + 1, n):
+            common = (au & adj[v]).bit_count()
+            if au >> v & 1:
+                balance[n + common] += 1
+                balance[base - degrees[v] + 2 + common] -= 1
+            else:
+                balance[common] += 1
+                balance[n + base - degrees[v] + common] -= 1
+    return not any(balance)
+
+
+def _least_antimorphism(adj: Sequence[int]) -> list[int] | None:
+    """The lexicographically least antimorphism's image array, or None.
 
     Backtracks over image assignments in vertex order 0..n-1, keeping for
     every unassigned vertex a bitmask domain of the images still possible.
@@ -144,17 +171,9 @@ def find_antimorphism(g: Graph) -> Permutation | None:
     so the images stay distinct, and a candidate that empties some domain is
     skipped at once.  Candidates are tried in ascending order; forward
     checking removes only candidates that no completion could use, so the
-    first full assignment, the returned image array, is the
-    lexicographically least antimorphism.
+    first full assignment is the least one.
     """
-    n = g.n
-    if n % 4 in (2, 3):
-        return None
-    if 4 * g.num_edges != n * (n - 1):
-        return None
-    if n <= 1:
-        return Permutation(range(n))
-    adj = g._adj
+    n = len(adj)
     full = (1 << n) - 1
     nonadj = [full & ~(a | (1 << w)) for w, a in enumerate(adj)]
     by_degree: dict[int, int] = {}
@@ -185,7 +204,34 @@ def find_antimorphism(g: Graph) -> Permutation | None:
                 return True
         return False
 
-    return Permutation(image) if assign(0, domains) else None
+    return image if assign(0, domains) else None
+
+
+def find_antimorphism(g: Graph) -> Permutation | None:
+    """The lexicographically least antimorphism; None iff g is not
+    self-complementary.
+
+    Exact tests run before the search.  n must be 0 or 1 mod 4 and g must
+    have half of all n(n-1)/2 pairs as edges.  Then the multiset of pair
+    profiles (u ~ v, |N(u) & N(v)|) over all vertex pairs of g must equal
+    the one of the complement (``_pair_profiles_match``): an antimorphism
+    carries each pair onto a pair of the complement with the same profile,
+    so every self-complementary graph passes, and a mismatch proves g is
+    not one.  The tests only decide whether the search runs, never what it
+    returns, so the answer is the least image array of
+    ``_least_antimorphism`` whenever it runs.
+    """
+    n = g.n
+    if n % 4 in (2, 3):
+        return None
+    if 4 * g.num_edges != n * (n - 1):
+        return None
+    if n <= 1:
+        return Permutation(range(n))
+    if not _pair_profiles_match(g._adj):
+        return None
+    image = _least_antimorphism(g._adj)
+    return None if image is None else Permutation(image)
 
 
 @dataclass(frozen=True)

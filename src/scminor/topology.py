@@ -5,16 +5,17 @@ exact edge-count rules: fewer than 9 edges means planar (a non-planar graph
 has a K5 or K3,3 minor, with 10 or 9 edges, and no minor has more edges
 than its host), and more than 3n - 6 means not planar, n counting only the
 vertices that have a neighbour (Euler's formula).  What the counts leave
-open goes to path embedding.  A graph is outerplanar iff adding an apex
-joined to everything keeps it planar; for g with m edges on n >= 1
-vertices, plus that apex, the same rules read m + n < 9 (outerplanar) and
-m > 2n - 3 (not outerplanar).  Excluded-minor witnesses are read off a
-Kuratowski subgraph, found with one such test per vertex and per edge of
-the graph with its degree-2 paths smoothed, and verified; no exponential
-search runs for them.  Intrinsic linking and knotting are reported as
-one-sided certificates: a complete minor of order 6 (resp. 7) proves the
-property, its absence proves nothing, and the result type keeps that
-distinction explicit.  In a report, "none found" for K6 (resp. K7) may
+open goes to path embedding.  Fewer than 6 edges means outerplanar (a
+non-outerplanar graph has a K4 or K2,3 minor, with 6 edges each).  Beyond
+that, a graph is outerplanar iff adding an apex joined to everything keeps
+it planar; for g with m edges on n vertices, plus that apex, the rules
+above read m > 2n - 3 (not outerplanar).  Excluded-minor witnesses are
+read off a Kuratowski subgraph, found with one such test per vertex and
+per edge of the graph with its degree-2 paths smoothed, and verified; no
+exponential search runs for them.  Intrinsic linking and knotting are
+reported as one-sided certificates: a complete minor of order 6 (resp. 7)
+proves the property, its absence proves nothing, and the result type keeps
+that distinction explicit.  In a report, "none found" for K6 (resp. K7) may
 come from the apex search instead of the minor oracle: a j-apex graph has
 no K_{5+j} minor, since deleting j vertices removes at most j branch sets
 and a planar graph has no K5 minor.
@@ -241,10 +242,12 @@ def is_planar(g: Graph) -> bool:
 def is_outerplanar(g: Graph) -> bool:
     """True iff g embeds with all vertices on the outer face.
 
-    Equivalent to planarity of g with one extra vertex joined to all of g.
-    The apex exists only in the adjacency masks tested, so a 64-vertex g
-    works.
+    Fewer than 6 edges is outerplanar; otherwise this is planarity of g with
+    one extra vertex joined to all of g.  The apex exists only in the
+    adjacency masks tested, so a 64-vertex g works.
     """
+    if g.num_edges < 6:
+        return True
     return _planar_masks(_masks(g, apex=True))
 
 

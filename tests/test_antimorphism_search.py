@@ -12,11 +12,14 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scminor import Graph, find_antimorphism, random_sc
+import scminor.antimorphism
+from scminor import Graph, find_antimorphism, is_antimorphism, parse_graph6, random_sc
+from scminor.antimorphism import _pair_profiles_match
 
 from conftest import reference_antimorphism
 
 FEW = settings(max_examples=25, deadline=None)
+MANY = settings(max_examples=100, deadline=None)
 SC_SIZES = (4, 5, 8, 9, 12, 13, 16, 17)
 SMALL_SIZES = (4, 5, 8, 9, 12, 13)
 
@@ -140,3 +143,113 @@ def test_large_paley_least_image(q):
     g = shuffled(paley(q), q)
     assert_matches_reference(g)
     assert find_antimorphism(g) is not None
+
+
+# The pair-profile test ahead of the search: it must pass every SC graph,
+# and the search must still agree with the reference on the non-SC graphs
+# that pass it.
+
+REFERENCE_CAP = 29
+SC_ORDERS = tuple(n for n in range(4, 62) if n % 4 in (0, 1))
+SC_PRIMES = (13, 17, 29, 37, 41, 53, 61)
+ORDER_61_NON_SC = {1, 3, 7, 9, 11, 12, 15, 16, 17, 20, 21, 25, 26, 28, 29}
+
+
+def sc_circulant_connection(p: int, picks: list[bool]) -> set[int]:
+    """Connection set mapped onto its complement by a unit m with
+    m^2 = -1 (mod p), p = 1 (mod 4): the orbits {±x, ±mx} of <m> on the
+    units each give {±x} or {±mx}, as ``picks`` says."""
+    m = next(x for x in range(2, p) if x * x % p == p - 1)
+    seen: set[int] = set()
+    connection: set[int] = set()
+    pick = iter(picks)
+    for x in range(1, p):
+        if x in seen:
+            continue
+        mx = m * x % p
+        seen |= {x, p - x, mx, p - mx}
+        s = x if next(pick) else mx
+        connection |= {s, p - s}
+    return connection
+
+
+def assert_passes_the_filter(g: Graph) -> None:
+    assert _pair_profiles_match(g._adj)
+    rho = find_antimorphism(g)
+    assert rho is not None and is_antimorphism(g, rho)
+    if g.n <= REFERENCE_CAP:
+        assert rho.image == reference_antimorphism(g)
+
+
+@MANY
+@given(
+    st.sampled_from(SC_ORDERS),
+    st.integers(0, 10**6),
+    st.randoms(use_true_random=False),
+)
+def test_filter_passes_relabelled_random_sc(n, seed, rng):
+    assert_passes_the_filter(shuffled(random_sc(n, seed), rng.randrange(10**9)))
+
+
+@MANY
+@given(st.sampled_from((5,) + SC_PRIMES), st.permutations(range(61)))
+def test_filter_passes_relabelled_paley(q, perm61):
+    perm = [v for v in perm61 if v < q]
+    assert_passes_the_filter(relabel(paley(q), perm))
+
+
+@MANY
+@given(
+    st.sampled_from(SC_PRIMES),
+    st.lists(st.booleans(), min_size=15, max_size=15),
+    st.randoms(use_true_random=False),
+)
+def test_filter_passes_relabelled_sc_circulants(p, picks, rng):
+    connection = sc_circulant_connection(p, picks)
+    assert len(connection) == (p - 1) // 2
+    assert turner_sc(p, connection)
+    assert_passes_the_filter(shuffled(circulant(p, connection), rng.randrange(10**9)))
+
+
+@pytest.mark.parametrize("text", ["G{z[I?", "HcOV^pi", "KvGyKzHRrLFO"])
+def test_search_refutes_non_sc_graphs_that_pass_the_filter(text):
+    g = parse_graph6(text)
+    assert 4 * g.num_edges == g.n * (g.n - 1)
+    assert _pair_profiles_match(g._adj)
+    assert reference_antimorphism(g) is None
+    assert find_antimorphism(g) is None
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_search_matches_the_reference_on_sampled_graphs_passing_the_filter(n):
+    """About 1% of random graphs with the SC edge count pass the filter at
+    n = 8 and 9; the search decides those, SC or not."""
+    rng = random.Random(n)
+    pairs = list(combinations(range(n), 2))
+    verdicts = []
+    for _ in range(4000):
+        g = Graph(n, rng.sample(pairs, n * (n - 1) // 4))
+        if _pair_profiles_match(g._adj):
+            assert_matches_reference(g)
+            verdicts.append(find_antimorphism(g) is not None)
+    assert verdicts.count(False) >= 5 and True in verdicts
+
+
+def test_order_61_non_sc_circulant_is_refuted_by_the_filter(monkeypatch):
+    connection = {s % 61 for d in ORDER_61_NON_SC for s in (d, -d)}
+    assert len(connection) == 30
+    assert not turner_sc(61, connection)
+    g = shuffled(circulant(61, connection), 61)
+    assert 4 * g.num_edges == 61 * 60
+    searches = []
+    search = scminor.antimorphism._least_antimorphism
+
+    def counted(adj):
+        searches.append(adj)
+        return search(adj)
+
+    monkeypatch.setattr(scminor.antimorphism, "_least_antimorphism", counted)
+    assert find_antimorphism(g) is None
+    assert not searches
+    assert find_antimorphism(shuffled(paley(61), 61)) is not None
+    assert len(searches) == 1

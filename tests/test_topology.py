@@ -65,6 +65,32 @@ def test_is_outerplanar_at_the_vertex_cap():
     assert not is_outerplanar(Graph(64, path + k4))
 
 
+def test_outerplanarity_below_six_edges_runs_no_planarity_test(monkeypatch):
+    """A non-outerplanar graph has a K4 or K2,3 minor, each with 6 edges, so
+    no graph with at most 5 edges reaches ``_planar_masks``: every labelled
+    one on at most 7 vertices, and 5-edge ones up to the 64-vertex cap."""
+    calls = []
+    planar = scminor.topology._planar_masks
+
+    def counted(adj):
+        calls.append(adj)
+        return planar(adj)
+
+    monkeypatch.setattr(scminor.topology, "_planar_masks", counted)
+    for n in range(8):
+        pairs = list(itertools.combinations(range(n), 2))
+        for m in range(6):
+            for edges in itertools.combinations(pairs, m):
+                assert is_outerplanar(Graph(n, edges))
+    for n in (9, 16, 64):
+        cycle = [(n - 5 + i, n - 5 + (i + 1) % 5) for i in range(5)]
+        star = [(0, v) for v in range(1, 6)]
+        assert is_outerplanar(Graph(n, cycle)) and is_outerplanar(Graph(n, star))
+    assert not calls
+    assert not is_outerplanar(complete_graph(4))
+    assert len(calls) == 1
+
+
 def test_nonplanarity_witness():
     w = nonplanarity_witness(complete_graph(6))
     assert w.status == "certificate" and w.target == "K5"
