@@ -3,7 +3,13 @@
 Verbs: check, minor, hadwiger, gen, enum, topo, verify-theorem.  Graph
 input is one graph6 string per line, from a file argument or stdin.  Exit
 codes: 0 success, 1 negative verdict (e.g. not self-complementary), 2 usage
-or input error, 3 oracle budget exhausted.
+or input error, 3 oracle budget exhausted or, for ``topo``, a certificate
+left indeterminate because the host has more than ``ORACLE_HOST_CAP`` (13)
+vertices.  An exhausted ``hadwiger`` reports ``expansions`` as the budget
+plus one: the expansion that crossed the budget is counted.
+
+Each verb returns or yields ``(payload, text, exit code)`` answers; ``main``
+prints them one by one, so ``gen`` prints each graph as it is built.
 """
 
 from __future__ import annotations
@@ -12,7 +18,8 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
+from functools import partial
 
 from .graphs import (
     GRAPH6_WHITESPACE,
@@ -39,6 +46,9 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+Answer = tuple[dict, str, int]
+"""One answer: its JSON payload, its plain text, and its exit code."""
 
 
 class _InputError(Exception):
@@ -105,22 +115,20 @@ def _resolve_budget(budget: int | None) -> int:
     return budget
 
 
-def _answer_each(args: argparse.Namespace) -> int:
-    """Run a per-graph verb: answer each input graph with ``args.answer``,
-    print the answer, and exit with the worst of the answers' codes."""
+def _answer_each(
+    answer: Callable[[Graph, argparse.Namespace], Answer], args: argparse.Namespace
+) -> Iterator[Answer]:
+    """Run a per-graph verb: ``answer`` on each input graph, in input order.
+
+    ``--budget`` and ``--apex`` are checked before the first line is read."""
     if "budget" in args:
         args.budget = _resolve_budget(args.budget)
     if "apex" in args and not 0 <= args.apex <= APEX_CAP:
         raise _InputError(f"--apex must be in 0..{APEX_CAP}, got {args.apex}")
-    code = EXIT_OK
-    for g in _iter_graphs(args.input):
-        payload, plain, graph_code = args.answer(g, args)
-        _emit(payload, plain, args.json)
-        code = max(code, graph_code)
-    return code
+    return (answer(g, args) for g in _iter_graphs(args.input))
 
 
-def cmd_check(g: Graph, args: argparse.Namespace) -> tuple[dict, str, int]:
+def cmd_check(g: Graph, args: argparse.Namespace) -> Answer:
     rho = find_antimorphism(g)
     if rho is None:
         payload = {"n": g.n, "self_complementary": False}
@@ -135,7 +143,7 @@ def cmd_check(g: Graph, args: argparse.Namespace) -> tuple[dict, str, int]:
     )
 
 
-def cmd_minor(g: Graph, args: argparse.Namespace) -> tuple[dict, str, int]:
+def cmd_minor(g: Graph, args: argparse.Namespace) -> Answer:
     rho = find_antimorphism(g)
     if rho is None:
         payload = {"self_complementary": False, "model": None}
@@ -161,7 +169,7 @@ def cmd_minor(g: Graph, args: argparse.Namespace) -> tuple[dict, str, int]:
     )
 
 
-def cmd_hadwiger(g: Graph, args: argparse.Namespace) -> tuple[dict, str, int]:
+def cmd_hadwiger(g: Graph, args: argparse.Namespace) -> Answer:
     outcome = hadwiger(g, args.budget)
     witness = outcome.witness
     if outcome.exact:
@@ -192,7 +200,7 @@ def _cert_text(c) -> str:
     return "none" if c.status == NONE_FOUND else c.status
 
 
-def cmd_topo(g: Graph, args: argparse.Namespace) -> tuple[dict, str, int]:
+def cmd_topo(g: Graph, args: argparse.Namespace) -> Answer:
     rep = report(g, apex_range=tuple(range(args.apex + 1)), budget=args.budget)
     apex_text = " ".join(
         f"apex{j}={'yes' if v else 'no'}" for j, v in sorted(rep.apex_numbers.items())
@@ -209,32 +217,33 @@ def cmd_topo(g: Graph, args: argparse.Namespace) -> tuple[dict, str, int]:
     )
 
 
-def _print_graph6(graphs: list[Graph], as_json: bool) -> int:
-    try:
-        texts = [write_graph6(g) for g in graphs]
-    except CapacityError as exc:  # more vertices than the short form holds
-        raise _InputError(str(exc)) from exc
-    for text in texts:
-        _emit({"graph6": text}, text, as_json)
-    return EXIT_OK
+def _graph6_answers(graphs: Iterable[Graph]) -> Iterator[Answer]:
+    """Each graph's graph6 line, each graph built only when its line is due.
 
-
-def cmd_gen(args: argparse.Namespace) -> int:
+    A graph that cannot be built (a ``ValueError``) or written in graph6's
+    short form is an input error."""
     try:
-        if args.family == "sharp4n":
-            graphs = [sharp_4n(args.n)]
-        elif args.family == "sharp4n1":
-            graphs = [sharp_4n_plus_1(args.n)]
-        elif args.count < 1:
-            raise _InputError(f"--count must be positive, got {args.count}")
-        else:
-            graphs = [random_sc(args.n, args.seed + i) for i in range(args.count)]
+        for g in graphs:
+            text = write_graph6(g)
+            yield {"graph6": text}, text, EXIT_OK
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    return _print_graph6(graphs, args.json)
 
 
-def cmd_enum(args: argparse.Namespace) -> int:
+def cmd_gen(args: argparse.Namespace) -> Iterator[Answer]:
+    # every graph is built lazily, so a bad --n reaches _graph6_answers
+    if args.family == "sharp4n":
+        graphs = map(sharp_4n, [args.n])
+    elif args.family == "sharp4n1":
+        graphs = map(sharp_4n_plus_1, [args.n])
+    elif args.count < 1:
+        raise _InputError(f"--count must be positive, got {args.count}")
+    else:
+        graphs = (random_sc(args.n, args.seed + i) for i in range(args.count))
+    return _graph6_answers(graphs)
+
+
+def cmd_enum(args: argparse.Namespace) -> Iterator[Answer]:
     if args.n in LARGE_ENUMERATION_SIZES and not args.allow_large:
         raise _InputError(
             f"enumeration at n={args.n} is expensive; pass --allow-large to run it"
@@ -243,10 +252,10 @@ def cmd_enum(args: argparse.Namespace) -> int:
         graphs = enumerate_sc(args.n, allow_large=args.allow_large)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    return _print_graph6(graphs, args.json)
+    return _graph6_answers(graphs)
 
 
-def cmd_verify_theorem(args: argparse.Namespace) -> int:
+def cmd_verify_theorem(args: argparse.Namespace) -> list[Answer]:
     n = args.n
     if n in ENUMERATION_SIZES:
         graphs = enumerate_sc(n)
@@ -259,19 +268,9 @@ def cmd_verify_theorem(args: argparse.Namespace) -> int:
     order = (n + 1) // 2
     verified = sum(1 for g in graphs if guaranteed_minor(g) is not None)
     ok = verified == len(graphs)
-    _emit(
-        {
-            "n": n,
-            "graphs": len(graphs),
-            "verified": verified,
-            "clique_order": order,
-            "ok": ok,
-        },
-        f"{len(graphs)} graphs, {verified}/{len(graphs)} "
-        f"K{order}-minor certificates verified",
-        args.json,
-    )
-    return EXIT_OK if ok else EXIT_NEGATIVE
+    payload = dict(n=n, graphs=len(graphs), verified=verified, clique_order=order, ok=ok)
+    text = f"{len(graphs)} graphs, {verified}/{len(graphs)} K{order}-minor certificates verified"
+    return [(payload, text, EXIT_OK if ok else EXIT_NEGATIVE)]
 
 
 def _add_input(p: argparse.ArgumentParser) -> None:
@@ -314,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_json(p)
         if answer is cmd_hadwiger:
             _add_budget(p)
-        p.set_defaults(func=_answer_each, answer=answer)
+        p.set_defaults(func=partial(_answer_each, answer))
 
     p = sub.add_parser("gen", help="emit generated graphs as graph6")
     group = p.add_mutually_exclusive_group(required=True)
@@ -353,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_json(p)
     _add_budget(p)
-    p.set_defaults(func=_answer_each, answer=cmd_topo)
+    p.set_defaults(func=partial(_answer_each, cmd_topo))
 
     p = sub.add_parser(
         "verify-theorem",
@@ -374,16 +373,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Parse ``argv``, print the verb's answers, and return the worst of
+    their exit codes (``EXIT_USAGE`` after an input error)."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    code = EXIT_OK
     try:
-        return args.func(args)
+        for payload, plain, answer_code in args.func(args):
+            _emit(payload, plain, args.json)
+            code = max(code, answer_code)
     except _InputError as exc:
         where = "" if exc.lineno is None else f"line {exc.lineno}: "
         print(f"{where}{exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BrokenPipeError:
+    except BrokenPipeError:  # the reader has gone, e.g. `gen ... | head -1`
         return EXIT_OK
+    return code
 
 
 def entrypoint() -> None:

@@ -332,10 +332,8 @@ def random_sc(n: int, seed: int) -> Graph:
     Deterministic for a fixed seed.  Sampling is uniform over orbit
     assignments of the chosen type, not over isomorphism classes.
     """
-    if n < 1 or n % 4 not in (0, 1):
-        raise ValueError(f"self-complementary graphs need n = 4k or 4k+1, got {n}")
+    types = sachs_cycle_types(n)  # raises ValueError unless n = 4k or 4k+1
     rng = random.Random(seed)
-    types = sachs_cycle_types(n)
     cycle_type = types[rng.randrange(len(types))]
     sigma = permutation_with_cycle_type(n, cycle_type)
     orbits = pair_orbits(sigma)

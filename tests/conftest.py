@@ -30,7 +30,9 @@ from scminor import (
 
 @lru_cache(maxsize=None)
 def sc_classes(n: int) -> tuple[Graph, ...]:
-    return tuple(enumerate_sc(n))
+    """Every SC class on n vertices, enumerated once per session; n = 12 and
+    13 (720 and 5,600 classes) included."""
+    return tuple(enumerate_sc(n, allow_large=True))
 
 
 @lru_cache(maxsize=None)

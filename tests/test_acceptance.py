@@ -13,7 +13,6 @@ from scminor import (
     complete_graph,
     cycle_decomposition,
     cycle_graph,
-    enumerate_sc,
     find_antimorphism,
     guaranteed_minor,
     hadwiger,
@@ -31,13 +30,10 @@ from scminor import (
 from conftest import (
     iso_classes_up_to,
     random_graph,
-    random_sc_batch,
     reference_hadwiger,
     sc_classes,
 )
 import random
-
-RANDOM_SAMPLES = 50
 
 
 def _report(num: int, detail: str) -> None:
@@ -60,22 +56,19 @@ def test_criterion_1_enumeration_counts():
                 classes.add(canonical_form(g))
         assert len(classes) == expected[n]
         assert classes == {canonical_form(g) for g in sc_classes(n)}
-    assert len(enumerate_sc(12, allow_large=True)) == 720
+    assert len(sc_classes(12)) == 720
     _report(1, "class counts 1/1/2/10/36/720 at n=1/4/5/8/9/12; n=4,5 brute-forced")
 
 
 def test_criterion_1_enumeration_count_at_13():
     # OEIS A000171: 5,600 self-complementary graphs on 13 vertices
-    assert len(enumerate_sc(13, allow_large=True)) == 5600
+    assert len(sc_classes(13)) == 5600
     _report(1, "class count 5600 at n=13")
 
 
 def _criterion_2_graphs():
-    for n in (4, 5, 8, 9):
+    for n in (4, 5, 8, 9, 12, 13):
         for g in sc_classes(n):
-            yield n, g
-    for n in (12, 13):
-        for g in random_sc_batch(n, RANDOM_SAMPLES):
             yield n, g
 
 
@@ -87,7 +80,7 @@ def test_criterion_2_guaranteed_minor_orders():
         assert model.k == (n + 1) // 2, f"n={n}: got k={model.k}"
         assert verify_minor_model(g, model, complete_graph(model.k)).ok
         checked += 1
-    assert checked == 49 + 2 * RANDOM_SAMPLES
+    assert checked == 49 + 720 + 5600
     _report(2, f"{checked} graphs produced verified complete minors of order (n+1)//2")
 
 
@@ -137,16 +130,16 @@ def test_criterion_6_outerplanarity_and_planarity():
 
 
 def test_criterion_7_linking_and_knotting_certificates():
-    for g in random_sc_batch(12, RANDOM_SAMPLES):
+    for g in sc_classes(12):
         cert = il_certificate(g)
         assert cert.status == "certificate"
         assert verify_minor_model(g, cert.model, complete_graph(6)).ok
-    for g in random_sc_batch(13, RANDOM_SAMPLES):
+    for g in sc_classes(13):
         cert = ik_certificate(g)
         assert cert.status == "certificate"
         assert verify_minor_model(g, cert.model, complete_graph(7)).ok
-    _report(7, f"{RANDOM_SAMPLES} verified K6 models at n=12 and "
-               f"{RANDOM_SAMPLES} verified K7 models at n=13")
+    _report(7, "verified K6 models for all 720 SC classes at n=12 and "
+               "K7 models for all 5600 at n=13")
 
 
 def test_criterion_8_oracle_soundness():

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import scminor.cli
 import scminor.topology
 from scminor import parse_graph6, random_sc, sharp_4n, write_graph6
 from scminor.cli import main
@@ -174,6 +175,39 @@ def test_gen_beyond_the_graph6_cap_is_an_input_error(args, monkeypatch, capsys):
     code, out, err = run_cli(["gen", *args], "", monkeypatch, capsys)
     assert code == 2 and out == ""
     assert err == "graph6 short form supports n <= 62, got 64\n"
+
+
+@pytest.mark.parametrize(
+    "args, err",
+    [
+        (["--n", "7"], "self-complementary graphs need n = 4k or 4k+1, got 7\n"),
+        (["--n", "64", "--count", "3"], "graph6 short form supports n <= 62, got 64\n"),
+    ],
+    ids=["n7", "n64"],
+)
+def test_gen_random_errors_print_one_line_and_no_graph(args, err, monkeypatch, capsys):
+    # gen builds each graph only when its line is due, so the error surfaces
+    # while main prints; it must still be an input error, not a traceback
+    assert run_cli(["gen", "--random", *args], "", monkeypatch, capsys) == (2, "", err)
+
+
+def test_gen_builds_each_graph_when_its_line_is_due(monkeypatch):
+    log = []
+
+    def logged_random_sc(n, seed):
+        log.append("build")
+        return random_sc(n, seed)
+
+    class LoggedStdout(io.StringIO):
+        def write(self, text):
+            if text.strip():
+                log.append("line")
+            return super().write(text)
+
+    monkeypatch.setattr(scminor.cli, "random_sc", logged_random_sc)
+    monkeypatch.setattr(sys, "stdout", LoggedStdout())
+    assert main(["gen", "--random", "--n", "8", "--count", "3"]) == 0
+    assert log == ["build", "line"] * 3
 
 
 def test_gen_random_deterministic(monkeypatch, capsys):

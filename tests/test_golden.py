@@ -1,4 +1,5 @@
-"""Byte-exact stdout and exit codes of the witness-printing verbs.
+"""Byte-exact stdout and exit codes of the witness-printing verbs, and of
+the verbs that print graph6 lines or a whole-class summary.
 
 The other CLI tests compare parsed JSON, so they cannot see a change in key
 order, spacing or line layout.  These pin the bytes themselves.
@@ -97,6 +98,26 @@ GOLDEN = [
         0,
         "outerplanar=no planar=no il=K6 ik=K7 apex0=no apex1=no apex2=no\n"
         "outerplanar=yes planar=yes il=none ik=none apex0=yes apex1=yes apex2=yes\n",
+    ),
+    (["gen", "--family", "sharp4n1", "--n", "1"], "", 0, "Dqo\n"),
+    (
+        ["gen", "--random", "--n", "8", "--count", "3", "--seed", "2"],
+        "",
+        0,
+        "GIuPnG\nGpZKpc\nGMDqMw\n",
+    ),
+    (
+        ["gen", "--random", "--n", "8", "--count", "3", "--seed", "2", "--json"],
+        "",
+        0,
+        '{"graph6": "GIuPnG"}\n{"graph6": "GpZKpc"}\n{"graph6": "GMDqMw"}\n',
+    ),
+    (["enum", "--n", "5", "--json"], "", 0, '{"graph6": "DMS"}\n{"graph6": "D[S"}\n'),
+    (
+        ["verify-theorem", "--n", "9", "--json"],
+        "",
+        0,
+        '{"n": 9, "graphs": 36, "verified": 36, "clique_order": 5, "ok": true}\n',
     ),
 ]
 
