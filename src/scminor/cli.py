@@ -1,7 +1,10 @@
 """Command-line interface: graph6 in, verdicts and JSON out.
 
 Verbs: check, minor, hadwiger, gen, enum, topo, verify-theorem.  Graph
-input is one graph6 string per line, from a file argument or stdin.  Exit
+input is one graph6 string per line, from a file argument or stdin.
+``verify-theorem`` checks the guaranteed minor on every self-complementary
+class of its size, n = 12 and 13 included.  ``enum`` asks ``--allow-large``
+before it enumerates n = 12 or 13, because that costs seconds.  Exit
 codes: 0 success, 1 negative verdict (e.g. not self-complementary), 2 usage
 or input error, 3 oracle budget exhausted or, for ``topo``, a certificate
 left indeterminate because the host has more than ``ORACLE_HOST_CAP`` (13)
@@ -249,7 +252,7 @@ def cmd_enum(args: argparse.Namespace) -> Iterator[Answer]:
             f"enumeration at n={args.n} is expensive; pass --allow-large to run it"
         )
     try:
-        graphs = enumerate_sc(args.n, allow_large=args.allow_large)
+        graphs = enumerate_sc(args.n)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
     return _graph6_answers(graphs)
@@ -257,14 +260,9 @@ def cmd_enum(args: argparse.Namespace) -> Iterator[Answer]:
 
 def cmd_verify_theorem(args: argparse.Namespace) -> list[Answer]:
     n = args.n
-    if n in ENUMERATION_SIZES:
-        graphs = enumerate_sc(n)
-    elif n in LARGE_ENUMERATION_SIZES:
-        if args.samples < 1:
-            raise _InputError(f"--samples must be positive, got {args.samples}")
-        graphs = [random_sc(n, args.seed + i) for i in range(args.samples)]
-    else:
-        raise _InputError(f"supported sizes: {ENUMERATION_SIZES + LARGE_ENUMERATION_SIZES}")
+    if n not in ENUMERATION_SIZES:
+        raise _InputError(f"supported sizes: {ENUMERATION_SIZES}")
+    graphs = enumerate_sc(n)
     order = (n + 1) // 2
     verified = sum(1 for g in graphs if guaranteed_minor(g) is not None)
     ok = verified == len(graphs)
@@ -359,13 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the guaranteed-minor pipeline over a whole size class",
     )
     p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--samples",
-        type=int,
-        default=50,
-        help="random sample size for n = 12, 13 (exhaustive sizes ignore this)",
-    )
-    p.add_argument("--seed", type=int, default=0)
     _add_json(p)
     p.set_defaults(func=cmd_verify_theorem)
 

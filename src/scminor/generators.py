@@ -31,8 +31,8 @@ from .antimorphism import (
     is_antimorphism,
 )
 
-ENUMERATION_SIZES = (1, 4, 5, 8, 9)
-LARGE_ENUMERATION_SIZES = (12, 13)
+ENUMERATION_SIZES = (1, 4, 5, 8, 9, 12, 13)
+LARGE_ENUMERATION_SIZES = (12, 13)  # seconds each; the CLI's enum asks --allow-large
 
 
 def complete_graph(k: int) -> Graph:
@@ -96,7 +96,9 @@ def sachs_cycle_types(n: int) -> tuple[tuple[int, ...], ...]:
     to n rounded down to a multiple of 4); the fixed point for n = 4k + 1 is
     implicit.  Types are ordered descending, e.g. (12,), (8, 4), (4, 4, 4).
     """
-    if n < 1 or n % 4 not in (0, 1):
+    if n < 1:
+        raise ValueError(f"self-complementary generators need n >= 1, got {n}")
+    if n % 4 not in (0, 1):
         raise ValueError(f"self-complementary graphs need n = 4k or 4k+1, got {n}")
     total = n - (n % 4)
 
@@ -273,11 +275,12 @@ def _bit_action(
     return act
 
 
-def enumerate_sc(n: int, allow_large: bool = False) -> list[Graph]:
+def enumerate_sc(n: int) -> list[Graph]:
     """One representative per isomorphism class of self-complementary graphs.
 
-    Supported sizes are 1, 4, 5, 8, 9 (and 12, 13 when ``allow_large`` is
-    set; on one Xeon core n = 12 takes about 2 s, n = 13 about 13 s).
+    Supported sizes are ``ENUMERATION_SIZES``: 1, 4, 5, 8, 9, 12 and 13.  On
+    one Xeon core n = 9 takes about 0.03 s, n = 12 about 1.5 s and n = 13
+    about 11.5 s.
     Output order is deterministic: cycle types largest-first, orbit choice
     bits counting up, first representative of each class kept.
 
@@ -287,15 +290,8 @@ def enumerate_sc(n: int, allow_large: bool = False) -> list[Graph]:
     class is always such a least element, so the list is the one that
     canonicalising every assignment would give.
     """
-    if n in LARGE_ENUMERATION_SIZES and not allow_large:
-        raise ValueError(
-            f"enumeration at n={n} is expensive; pass allow_large=True to run it"
-        )
-    if n not in ENUMERATION_SIZES + LARGE_ENUMERATION_SIZES:
-        raise ValueError(
-            f"enumeration supports n in {ENUMERATION_SIZES + LARGE_ENUMERATION_SIZES},"
-            f" got {n}"
-        )
+    if n not in ENUMERATION_SIZES:
+        raise ValueError(f"enumeration supports n in {ENUMERATION_SIZES}, got {n}")
     seen: set[bytes] = set()
     out: list[Graph] = []
     for cycle_type in sachs_cycle_types(n):
@@ -332,7 +328,7 @@ def random_sc(n: int, seed: int) -> Graph:
     Deterministic for a fixed seed.  Sampling is uniform over orbit
     assignments of the chosen type, not over isomorphism classes.
     """
-    types = sachs_cycle_types(n)  # raises ValueError unless n = 4k or 4k+1
+    types = sachs_cycle_types(n)  # raises ValueError unless n >= 1 is 4k or 4k+1
     rng = random.Random(seed)
     cycle_type = types[rng.randrange(len(types))]
     sigma = permutation_with_cycle_type(n, cycle_type)

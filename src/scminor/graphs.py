@@ -90,18 +90,28 @@ class Graph:
     def num_edges(self) -> int:
         return sum(m.bit_count() for m in self._adj) // 2
 
+    def _check_vertices(self, *vertices: int) -> None:
+        """Reject a vertex outside 0..n-1, which would index ``_adj`` from
+        the end or past it."""
+        for v in vertices:
+            if not 0 <= v < self.n:
+                what = f"vertex {v}" if len(vertices) == 1 else f"vertex pair {vertices}"
+                raise ValueError(f"{what} out of range for n={self.n}")
+
     def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"vertex pair ({u}, {v}) out of range for n={self.n}")
+        self._check_vertices(u, v)
         return bool((self._adj[u] >> v) & 1)
 
     def degree(self, v: int) -> int:
+        self._check_vertices(v)
         return self._adj[v].bit_count()
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        self._check_vertices(v)
         return tuple(iter_bits(self._adj[v]))
 
     def neighbor_mask(self, v: int) -> int:
+        self._check_vertices(v)
         return self._adj[v]
 
     def edges(self) -> list[tuple[int, int]]:

@@ -32,7 +32,7 @@ from scminor import (
 def sc_classes(n: int) -> tuple[Graph, ...]:
     """Every SC class on n vertices, enumerated once per session; n = 12 and
     13 (720 and 5,600 classes) included."""
-    return tuple(enumerate_sc(n, allow_large=True))
+    return tuple(enumerate_sc(n))
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scminor.antimorphism
-from scminor import Graph, find_antimorphism, is_antimorphism, parse_graph6, random_sc
+from scminor import (
+    Graph,
+    complement,
+    find_antimorphism,
+    is_antimorphism,
+    parse_graph6,
+    random_sc,
+)
 from scminor.antimorphism import _pair_profiles_match
 
 from conftest import reference_antimorphism
@@ -209,6 +216,31 @@ def test_filter_passes_relabelled_sc_circulants(p, picks, rng):
     assert len(connection) == (p - 1) // 2
     assert turner_sc(p, connection)
     assert_passes_the_filter(shuffled(circulant(p, connection), rng.randrange(10**9)))
+
+
+# Complement symmetry: rho flips every pair of G iff it flips every pair of
+# the complement, and the pair-profile test compares G with its complement
+# symmetrically, so both searches return the same least antimorphism or
+# both return None.
+
+
+@MANY
+@given(
+    st.sampled_from(SC_ORDERS),
+    st.integers(0, 10**6),
+    st.randoms(use_true_random=False),
+)
+def test_complement_has_the_same_least_antimorphism_on_relabelled_random_sc(n, seed, rng):
+    g = shuffled(random_sc(n, seed), rng.randrange(10**9))
+    rho = find_antimorphism(g)
+    assert rho is not None and find_antimorphism(complement(g)) == rho
+
+
+@MANY
+@given(st.sampled_from((8, 9, 12, 13)), st.randoms(use_true_random=False))
+def test_complement_has_the_same_verdict_and_least_antimorphism_at_the_sc_edge_count(n, rng):
+    g = Graph(n, rng.sample(list(combinations(range(n), 2)), n * (n - 1) // 4))
+    assert find_antimorphism(complement(g)) == find_antimorphism(g)
 
 
 @pytest.mark.parametrize("text", ["G{z[I?", "HcOV^pi", "KvGyKzHRrLFO"])

@@ -10,6 +10,8 @@ import scminor.topology
 from scminor import parse_graph6, random_sc, sharp_4n, write_graph6
 from scminor.cli import main
 
+from conftest import sc_classes
+
 
 def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
@@ -134,9 +136,9 @@ def test_non_positive_budget_is_a_usage_error(verb, budget, monkeypatch, capsys)
             "--count must be positive, got 0\n",
         ),
         (
-            ["verify-theorem", "--n", "12", "--samples", "0"],
+            ["enum", "--n", "6"],
             None,
-            "--samples must be positive, got 0\n",
+            "enumeration supports n in (1, 4, 5, 8, 9, 12, 13), got 6\n",
         ),
         (["topo"], "banana", "SCMINOR_BUDGET must be an integer, got 'banana'\n"),
     ],
@@ -182,8 +184,9 @@ def test_gen_beyond_the_graph6_cap_is_an_input_error(args, monkeypatch, capsys):
     [
         (["--n", "7"], "self-complementary graphs need n = 4k or 4k+1, got 7\n"),
         (["--n", "64", "--count", "3"], "graph6 short form supports n <= 62, got 64\n"),
+        (["--n", "0"], "self-complementary generators need n >= 1, got 0\n"),
     ],
-    ids=["n7", "n64"],
+    ids=["n7", "n64", "n0"],
 )
 def test_gen_random_errors_print_one_line_and_no_graph(args, err, monkeypatch, capsys):
     # gen builds each graph only when its line is due, so the error surfaces
@@ -274,22 +277,42 @@ def test_verify_theorem_small(monkeypatch, capsys):
     assert out.strip() == "36 graphs, 36/36 K5-minor certificates verified"
 
 
-def test_verify_theorem_sampled(monkeypatch, capsys):
-    code, out, _ = run_cli(
-        ["verify-theorem", "--n", "13", "--samples", "5", "--json"],
-        "",
-        monkeypatch,
-        capsys,
-    )
-    assert code == 0
-    data = json.loads(out)
-    assert data == {
+def test_verify_theorem_covers_every_class_at_13(monkeypatch, capsys):
+    # enumerate_sc is looked up on scminor.cli with n as its one argument;
+    # the classes come from the session's cached enumeration
+    calls = []
+
+    def cached_enumerate_sc(*args):
+        calls.append(args)
+        return list(sc_classes(*args))
+
+    monkeypatch.setattr(scminor.cli, "enumerate_sc", cached_enumerate_sc)
+    code, out, _ = run_cli(["verify-theorem", "--n", "13", "--json"], "", monkeypatch, capsys)
+    assert (code, calls) == (0, [(13,)])
+    assert json.loads(out) == {
         "n": 13,
-        "graphs": 5,
-        "verified": 5,
+        "graphs": 5600,
+        "verified": 5600,
         "clique_order": 7,
         "ok": True,
     }
+
+
+def test_verify_theorem_never_samples(monkeypatch, capsys):
+    def no_random_sc(n, seed):
+        raise AssertionError("verify-theorem drew a random graph")
+
+    monkeypatch.setattr(scminor.cli, "random_sc", no_random_sc)
+    code, out, _ = run_cli(["verify-theorem", "--n", "12"], "", monkeypatch, capsys)
+    assert (code, out) == (0, "720 graphs, 720/720 K6-minor certificates verified\n")
+
+
+@pytest.mark.parametrize("option", ["--samples", "--seed"])
+def test_verify_theorem_has_no_sampling_options(option, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify-theorem", "--n", "12", option, "3"], "", monkeypatch, capsys)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} 3" in capsys.readouterr().err
 
 
 def test_verify_theorem_bad_n(monkeypatch, capsys):
@@ -305,16 +328,6 @@ def test_gen_rejects_an_empty_random_count(count, monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "--count" in err
-
-
-@pytest.mark.parametrize("samples", ["0", "-3"])
-def test_verify_theorem_rejects_empty_sample(samples, monkeypatch, capsys):
-    code, out, err = run_cli(
-        ["verify-theorem", "--n", "13", "--samples", samples], "", monkeypatch, capsys
-    )
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1 and "--samples" in err
 
 
 def test_usage_error_exit_code():

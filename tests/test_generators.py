@@ -189,7 +189,7 @@ def test_enumerate_rejects_unsupported_sizes():
     with pytest.raises(ValueError):
         enumerate_sc(6)
     with pytest.raises(ValueError):
-        enumerate_sc(12)  # gated behind allow_large
+        enumerate_sc(16)  # an SC order, beyond the enumerated sizes
 
 
 def test_enumerate_is_deterministic():

@@ -119,6 +119,12 @@ GOLDEN = [
         0,
         '{"n": 9, "graphs": 36, "verified": 36, "clique_order": 5, "ok": true}\n',
     ),
+    (
+        ["verify-theorem", "--n", "12", "--json"],
+        "",
+        0,
+        '{"n": 12, "graphs": 720, "verified": 720, "clique_order": 6, "ok": true}\n',
+    ),
 ]
 
 

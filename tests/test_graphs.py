@@ -59,6 +59,18 @@ def test_basic_queries():
     assert Graph(4, [(0, 1), (1, 0)]).num_edges == 1  # duplicates collapse
 
 
+@pytest.mark.parametrize("v", [-1, 3])
+def test_vertex_queries_reject_a_vertex_out_of_range(v):
+    # a negative v would otherwise index the adjacency masks from the end
+    g = Graph(3, [(0, 1), (1, 2)])
+    for query in (g.degree, g.neighbors, g.neighbor_mask):
+        with pytest.raises(ValueError, match=rf"^vertex {v} out of range for n=3$"):
+            query(v)
+    for u, w in ((v, 0), (0, v)):
+        with pytest.raises(ValueError, match=rf"^vertex pair \({u}, {w}\) out of range for n=3$"):
+            g.has_edge(u, w)
+
+
 def test_complement_fixed_cases():
     assert complement(complete_graph(4)) == Graph(4)
     p4c = complement(path_graph(4))
