@@ -7,13 +7,9 @@ from .graphs import (
     ConsistencyError,
     Graph,
     Graph6Error,
-    MatchingError,
     canonical_form,
     complement,
-    contract_matching,
     induced_subgraph,
-    is_connected_subset,
-    join,
     parse_graph6,
     write_graph6,
 )
@@ -47,12 +43,10 @@ from .oracle import (
     DEFAULT_BUDGET,
     HadwigerOutcome,
     MinorOutcome,
-    MinorQuery,
     hadwiger,
     has_minor,
 )
 from .generators import (
-    OrbitAssignment,
     complete_bipartite,
     complete_graph,
     cycle_graph,

@@ -4,7 +4,9 @@ Verbs: check, minor, hadwiger, gen, enum, topo, verify-theorem.  Graph
 input is one graph6 string per line, from a file argument or stdin.
 ``verify-theorem`` checks the guaranteed minor on every self-complementary
 class of its size, n = 12 and 13 included.  ``enum`` asks ``--allow-large``
-before it enumerates n = 12 or 13, because that costs seconds.  Exit
+before it enumerates n = 12 or 13, because that costs seconds.  ``gen``
+takes ``--count`` and ``--seed`` with ``--random`` only.  The oracle
+budget of ``hadwiger`` and ``topo`` is ``--budget``, else 10^8.  Exit
 codes: 0 success, 1 negative verdict (e.g. not self-complementary), 2 usage
 or input error, 3 oracle budget exhausted or, for ``topo``, a certificate
 left indeterminate because the host has more than ``ORACLE_HOST_CAP`` (13)
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
@@ -104,28 +105,14 @@ def _emit(payload: dict, plain: str, as_json: bool) -> None:
     print(json.dumps(payload) if as_json else plain)
 
 
-def _resolve_budget(budget: int | None) -> int:
-    if budget is None:
-        raw = os.environ.get("SCMINOR_BUDGET")
-        if not raw:
-            return DEFAULT_BUDGET
-        try:
-            budget = int(raw)
-        except ValueError as exc:
-            raise _InputError(f"SCMINOR_BUDGET must be an integer, got {raw!r}") from exc
-    if budget <= 0:
-        raise _InputError(f"budget must be positive, got {budget}")
-    return budget
-
-
 def _answer_each(
     answer: Callable[[Graph, argparse.Namespace], Answer], args: argparse.Namespace
 ) -> Iterator[Answer]:
     """Run a per-graph verb: ``answer`` on each input graph, in input order.
 
     ``--budget`` and ``--apex`` are checked before the first line is read."""
-    if "budget" in args:
-        args.budget = _resolve_budget(args.budget)
+    if "budget" in args and args.budget <= 0:
+        raise _InputError(f"budget must be positive, got {args.budget}")
     if "apex" in args and not 0 <= args.apex <= APEX_CAP:
         raise _InputError(f"--apex must be in 0..{APEX_CAP}, got {args.apex}")
     return (answer(g, args) for g in _iter_graphs(args.input))
@@ -235,15 +222,16 @@ def _graph6_answers(graphs: Iterable[Graph]) -> Iterator[Answer]:
 
 def cmd_gen(args: argparse.Namespace) -> Iterator[Answer]:
     # every graph is built lazily, so a bad --n reaches _graph6_answers
-    if args.family == "sharp4n":
-        graphs = map(sharp_4n, [args.n])
-    elif args.family == "sharp4n1":
-        graphs = map(sharp_4n_plus_1, [args.n])
-    elif args.count < 1:
-        raise _InputError(f"--count must be positive, got {args.count}")
-    else:
-        graphs = (random_sc(args.n, args.seed + i) for i in range(args.count))
-    return _graph6_answers(graphs)
+    if not args.random:
+        if args.count is not None or args.seed is not None:
+            raise _InputError("--count and --seed apply to --random only")
+        family = sharp_4n if args.family == "sharp4n" else sharp_4n_plus_1
+        return _graph6_answers(map(family, [args.n]))
+    count = 1 if args.count is None else args.count
+    seed = 0 if args.seed is None else args.seed
+    if count < 1:
+        raise _InputError(f"--count must be positive, got {count}")
+    return _graph6_answers(random_sc(args.n, seed + i) for i in range(count))
 
 
 def cmd_enum(args: argparse.Namespace) -> Iterator[Answer]:
@@ -288,8 +276,8 @@ def _add_budget(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--budget",
         type=int,
-        default=None,
-        help="oracle expansion budget (default: SCMINOR_BUDGET env or 10^8)",
+        default=DEFAULT_BUDGET,
+        help="oracle expansion budget (default: 10^8)",
     )
 
 
@@ -326,8 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="random self-complementary graphs (--n is the vertex count)",
     )
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, default=1, help="graphs to emit (random only)")
-    p.add_argument("--seed", type=int, default=0)
+    # None marks an option left out, which --family requires
+    p.add_argument("--count", type=int, help="graphs to emit (random only)")
+    p.add_argument("--seed", type=int)
     _add_json(p)
     p.set_defaults(func=cmd_gen)
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .graphs import ConsistencyError, Graph, canonical_form, check_order
 from .antimorphism import (
@@ -160,45 +159,28 @@ def pair_orbits(sigma: Permutation) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(orbits)
 
 
-@dataclass(frozen=True)
-class OrbitAssignment:
-    """A candidate antimorphism plus one edge/non-edge bit per pair orbit.
-
-    ``orbits`` is ``pair_orbits(sigma)``, as ``from_choices`` builds it.
-    """
-
-    sigma: Permutation
-    orbits: tuple[tuple[tuple[int, int], ...], ...]
-    choices: tuple[bool, ...]
-
-    @classmethod
-    def from_choices(
-        cls, sigma: Permutation, choices: tuple[bool, ...]
-    ) -> "OrbitAssignment":
-        return cls(sigma, pair_orbits(sigma), choices)
-
-
-def sc_from_assignment(assignment: OrbitAssignment) -> Graph:
+def sc_from_assignment(
+    sigma: Permutation, orbits: tuple[tuple[tuple[int, int], ...], ...], bits: int
+) -> Graph:
     """Build the graph whose edges alternate along each pair orbit.
 
-    The representative pair of orbit i is an edge iff ``choices[i]``; edge
-    membership then flips at every step along the orbit.  The result always
-    admits ``sigma`` as an antimorphism.
+    ``orbits`` is ``pair_orbits(sigma)``.  The representative pair of orbit
+    i is an edge iff bit i of ``bits`` is set; edge membership then flips at
+    every step along the orbit.  The result always admits ``sigma`` as an
+    antimorphism.
     """
-    sigma = assignment.sigma
     sachs = check_sachs(cycle_decomposition(sigma), sigma.n)
     if not sachs.ok:
         raise ValueError(f"invalid generating permutation: {sachs.reason}")
-    if len(assignment.choices) != len(assignment.orbits):
-        raise ValueError(
-            f"{len(assignment.choices)} choices for {len(assignment.orbits)} orbits"
-        )
+    if bits < 0 or bits >> len(orbits):
+        raise ValueError(f"orbit bits {bits} do not fit {len(orbits)} orbits")
     check_order(sigma.n)
     adj = [0] * sigma.n
-    for orbit, chosen in zip(assignment.orbits, assignment.choices):
-        for u, v in orbit[0 if chosen else 1 :: 2]:
+    for orbit in orbits:
+        for u, v in orbit[1 - (bits & 1) :: 2]:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
+        bits >>= 1
     g = Graph._from_adj(adj)
     if not is_antimorphism(g, sigma):
         raise ConsistencyError("sigma is not an antimorphism of the built graph")
@@ -313,8 +295,7 @@ def enumerate_sc(n: int) -> list[Graph]:
                     if not visited[c]:
                         visited[c] = 1
                         stack.append(c)
-            choices = tuple(bool((bits >> i) & 1) for i in range(len(orbits)))
-            g = sc_from_assignment(OrbitAssignment(sigma, orbits, choices))
+            g = sc_from_assignment(sigma, orbits, bits)
             key = canonical_form(g)
             if key not in seen:
                 seen.add(key)
@@ -333,5 +314,5 @@ def random_sc(n: int, seed: int) -> Graph:
     cycle_type = types[rng.randrange(len(types))]
     sigma = permutation_with_cycle_type(n, cycle_type)
     orbits = pair_orbits(sigma)
-    choices = tuple(bool(rng.getrandbits(1)) for _ in orbits)
-    return sc_from_assignment(OrbitAssignment(sigma, orbits, choices))
+    bits = sum(rng.getrandbits(1) << i for i in range(len(orbits)))
+    return sc_from_assignment(sigma, orbits, bits)

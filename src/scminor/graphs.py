@@ -26,10 +26,6 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
-class MatchingError(ValueError):
-    """A claimed matching is not a set of pairwise disjoint host edges."""
-
-
 class CapacityError(ValueError):
     """Input exceeds a documented size cap."""
 
@@ -168,50 +164,6 @@ def induced_subgraph(
     return Graph._from_adj(adj), {old: new for new, old in enumerate(keep)}
 
 
-def contract_matching(
-    g: Graph, matching: Iterable[tuple[int, int]]
-) -> tuple[Graph, dict[int, int]]:
-    """Contract a set of pairwise disjoint edges, keeping the result simple.
-
-    Matched pairs become vertices 0..m-1 in matching order; unmatched vertices
-    follow in ascending order.  Returns the contracted graph and the branch
-    map old-vertex -> new-vertex.
-    """
-    pairs = [tuple(e) for e in matching]
-    adj = g._adj
-    label: dict[int, int] = {}
-    for i, pair in enumerate(pairs):
-        if len(pair) != 2:
-            raise MatchingError(f"matching entry {pair!r} is not a vertex pair")
-        u, v = pair
-        if not (0 <= u < g.n and 0 <= v < g.n) or u == v or not adj[u] >> v & 1:
-            raise MatchingError(f"({u}, {v}) is not an edge of the host graph")
-        if u in label or v in label:
-            raise MatchingError(f"edge ({u}, {v}) overlaps an earlier matching edge")
-        label[u] = label[v] = i
-    nxt = len(pairs)
-    for v in range(g.n):
-        if v not in label:
-            label[v] = nxt
-            nxt += 1
-    out = [0] * nxt
-    for v, m in enumerate(adj):
-        a = label[v]
-        for w in iter_bits(m):
-            out[a] |= 1 << label[w]
-    return Graph._from_adj(m & ~(1 << a) for a, m in enumerate(out)), label
-
-
-def join(g1: Graph, g2: Graph) -> Graph:
-    """Disjoint union of ``g1`` and ``g2`` plus all cross edges."""
-    n1, n2 = g1.n, g2.n
-    check_order(n1 + n2)
-    return Graph._from_adj(
-        [m | ((1 << n2) - 1) << n1 for m in g1._adj]
-        + [m << n1 | (1 << n1) - 1 for m in g2._adj]
-    )
-
-
 def neighbourhood(adj: Sequence[int], mask: int) -> int:
     """N(mask) minus mask: a set disjoint from ``mask`` touches it iff it meets this."""
     out = 0
@@ -232,15 +184,6 @@ def mask_is_connected(g: Graph, mask: int) -> bool:
         if grown == reach:
             return reach == mask
         reach = grown
-
-
-def is_connected_subset(g: Graph, vertices: Iterable[int]) -> bool:
-    mask = 0
-    for v in vertices:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-        mask |= 1 << v
-    return mask_is_connected(g, mask)
 
 
 # -- graph6 interchange ------------------------------------------------------

@@ -52,24 +52,10 @@ class _Budget:
 
 
 @dataclass(frozen=True)
-class MinorQuery:
-    host: Graph
-    target: Graph
-    budget: int = DEFAULT_BUDGET
-
-
-@dataclass(frozen=True)
 class MinorOutcome:
     answer: str  # YES, NO, or BUDGET_EXCEEDED
     model: MinorModel | None
     expansions: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "answer": self.answer,
-            "witness": None if self.model is None else self.model.to_json_dict(),
-            "expansions": self.expansions,
-        }
 
 
 @dataclass(frozen=True)
@@ -212,28 +198,28 @@ def _checked(host: Graph, target: Graph, sets: tuple[int, ...]) -> MinorModel:
     return checked_model(host, model, target, "oracle witness")
 
 
-def has_minor(query: MinorQuery) -> MinorOutcome:
-    """Decide whether ``query.target`` is a minor of ``query.host``.
+def has_minor(host: Graph, target: Graph, budget: int = DEFAULT_BUDGET) -> MinorOutcome:
+    """Decide whether ``target`` is a minor of ``host`` within ``budget``
+    expansions.
 
     Every yes comes with a branch-set witness that has been re-verified
     against the minor definition; no means the search space was exhausted.
     """
-    host, target = query.host, query.target
-    if query.budget <= 0:
-        raise ValueError(f"budget must be positive, got {query.budget}")
+    if budget <= 0:
+        raise ValueError(f"budget must be positive, got {budget}")
     if target.n > host.n or target.num_edges > host.num_edges:
         return MinorOutcome(NO, None, 0)
-    budget = _Budget(query.budget)
+    meter = _Budget(budget)
     try:
         if _is_complete(target):
-            sets = _clique_minor_sets(host, target.n, budget)
+            sets = _clique_minor_sets(host, target.n, meter)
         else:
-            sets = _general_minor_sets(host, target, budget)
+            sets = _general_minor_sets(host, target, meter)
     except _OutOfBudget:
-        return MinorOutcome(BUDGET_EXCEEDED, None, budget.spent)
+        return MinorOutcome(BUDGET_EXCEEDED, None, meter.spent)
     if sets is None:
-        return MinorOutcome(NO, None, budget.spent)
-    return MinorOutcome(YES, _checked(host, target, sets), budget.spent)
+        return MinorOutcome(NO, None, meter.spent)
+    return MinorOutcome(YES, _checked(host, target, sets), meter.spent)
 
 
 def hadwiger(g: Graph, budget: int = DEFAULT_BUDGET) -> HadwigerOutcome:

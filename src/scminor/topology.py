@@ -31,7 +31,7 @@ from .graphs import Graph, ConsistencyError, iter_bits, neighbourhood
 from .antimorphism import find_antimorphism
 from .construction import MinorModel, build_plan, checked_model, realize_minor
 from .generators import complete_graph, complete_bipartite
-from .oracle import BUDGET_EXCEEDED, DEFAULT_BUDGET, YES, MinorQuery, has_minor
+from .oracle import BUDGET_EXCEEDED, DEFAULT_BUDGET, YES, has_minor
 
 CERTIFICATE = "certificate"
 NONE_FOUND = "none_found"
@@ -409,7 +409,7 @@ def _complete_certificate(
         return CertificateSearch(NONE_FOUND, name)
     if g.n > ORACLE_HOST_CAP:
         return CertificateSearch(INDETERMINATE, name)
-    outcome = has_minor(MinorQuery(g, complete_graph(order), budget))
+    outcome = has_minor(g, complete_graph(order), budget)
     if outcome.answer == YES:
         return CertificateSearch(CERTIFICATE, name, outcome.model, outcome.expansions)
     status = INDETERMINATE if outcome.answer == BUDGET_EXCEEDED else NONE_FOUND

@@ -17,7 +17,6 @@ from math import factorial, prod
 
 from scminor import (
     Graph,
-    OrbitAssignment,
     canonical_form,
     enumerate_sc,
     pair_orbits,
@@ -130,8 +129,7 @@ def reference_enumerate_sc(n: int) -> list[Graph]:
         sigma = permutation_with_cycle_type(n, cycle_type)
         orbits = pair_orbits(sigma)
         for bits in range(1 << len(orbits)):
-            choices = tuple(bool((bits >> i) & 1) for i in range(len(orbits)))
-            g = sc_from_assignment(OrbitAssignment(sigma, orbits, choices))
+            g = sc_from_assignment(sigma, orbits, bits)
             key = canonical_form(g)
             if key not in seen:
                 seen.add(key)
@@ -480,45 +478,6 @@ def reference_parse_graph6(text: str) -> Graph:
                 edges.append((row, col))
             pos += 1
     return Graph(n, edges)
-
-
-def reference_contract_matching(g: Graph, matching) -> tuple[Graph, dict[int, int]]:
-    """``graphs.contract_matching`` as it was before it built masks: the body
-    is kept verbatim, relabelling the host's edge list."""
-    from scminor import MatchingError
-
-    pairs = [tuple(e) for e in matching]
-    label: dict[int, int] = {}
-    for i, pair in enumerate(pairs):
-        if len(pair) != 2:
-            raise MatchingError(f"matching entry {pair!r} is not a vertex pair")
-        u, v = pair
-        if not (0 <= u < g.n and 0 <= v < g.n) or u == v or not g.has_edge(u, v):
-            raise MatchingError(f"({u}, {v}) is not an edge of the host graph")
-        if u in label or v in label:
-            raise MatchingError(f"edge ({u}, {v}) overlaps an earlier matching edge")
-        label[u] = label[v] = i
-    nxt = len(pairs)
-    for v in range(g.n):
-        if v not in label:
-            label[v] = nxt
-            nxt += 1
-    edges = set()
-    for u, v in g.edges():
-        a, b = label[u], label[v]
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    return Graph(nxt, edges), label
-
-
-def reference_join(g1: Graph, g2: Graph) -> Graph:
-    """``graphs.join`` as it was before it built masks: the body is kept
-    verbatim, from the two edge lists and the cross pairs."""
-    n1 = g1.n
-    edges = list(g1.edges())
-    edges += [(u + n1, v + n1) for u, v in g2.edges()]
-    edges += [(u, v + n1) for u in range(n1) for v in range(g2.n)]
-    return Graph(n1 + g2.n, edges)
 
 
 def _reference_smoothed_paths(adj: dict[int, set[int]]) -> dict[tuple[int, int], list[int]]:

@@ -6,7 +6,6 @@ from itertools import combinations
 
 from scminor import (
     Graph,
-    MinorQuery,
     canonical_form,
     check_sachs,
     complete_bipartite,
@@ -110,7 +109,7 @@ def test_criterion_5_sharpness():
     assert h1.value == 2 and h1.exact
     h2 = hadwiger(sharp_4n(2))
     assert h2.value == 4 and h2.exact
-    assert has_minor(MinorQuery(sharp_4n(2), complete_graph(5))).answer == "no"
+    assert has_minor(sharp_4n(2), complete_graph(5)).answer == "no"
     h3 = hadwiger(sharp_4n_plus_1(1))
     assert h3.value == 3 and h3.exact
     _report(5, "hadwiger(sharp_4n(1))=2, hadwiger(sharp_4n(2))=4, "
@@ -158,7 +157,7 @@ def test_criterion_8_oracle_soundness():
     for _ in range(80):
         host = random_graph(rng, rng.randrange(3, 10), 0.5)
         target = targets[rng.randrange(len(targets))]
-        outcome = has_minor(MinorQuery(host, target))
+        outcome = has_minor(host, target)
         assert outcome.answer in ("yes", "no")
         if outcome.answer == "yes":
             yes_count += 1

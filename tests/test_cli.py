@@ -102,26 +102,10 @@ def test_hadwiger_budget_flag(monkeypatch, capsys):
     assert "budget exhausted" in out
 
 
-def test_budget_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("SCMINOR_BUDGET", "10")
-    g6 = write_graph6(sharp_4n(2))
-    code, out, _ = run_cli(["hadwiger"], g6 + "\n", monkeypatch, capsys)
-    assert code == 3
-
-    monkeypatch.setenv("SCMINOR_BUDGET", "banana")
-    code, _, err = run_cli(["hadwiger"], g6 + "\n", monkeypatch, capsys)
-    assert code == 2 and "SCMINOR_BUDGET" in err
-
-
 @pytest.mark.parametrize("verb", ["hadwiger", "topo"])
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_non_positive_budget_is_a_usage_error(verb, budget, monkeypatch, capsys):
     code, out, err = run_cli([verb, "--budget", budget], "Dhc\n", monkeypatch, capsys)
-    assert code == 2 and out == ""
-    assert err == f"budget must be positive, got {budget}\n"
-
-    monkeypatch.setenv("SCMINOR_BUDGET", budget)
-    code, out, err = run_cli([verb], "Dhc\n", monkeypatch, capsys)
     assert code == 2 and out == ""
     assert err == f"budget must be positive, got {budget}\n"
 
@@ -140,7 +124,23 @@ def test_non_positive_budget_is_a_usage_error(verb, budget, monkeypatch, capsys)
             None,
             "enumeration supports n in (1, 4, 5, 8, 9, 12, 13), got 6\n",
         ),
-        (["topo"], "banana", "SCMINOR_BUDGET must be an integer, got 'banana'\n"),
+        (
+            ["gen", "--family", "sharp4n", "--n", "2", "--count", "3"],
+            None,
+            "--count and --seed apply to --random only\n",
+        ),
+        # a stale SCMINOR_BUDGET is not read, so it cannot mask the --apex error
+        (["topo", "--apex", "9"], "banana", "--apex must be in 0..3, got 9\n"),
+        (
+            ["gen", "--family", "sharp4n1", "--n", "0", "--count", "3", "--seed", "9"],
+            None,
+            "--count and --seed apply to --random only\n",
+        ),
+        (
+            ["gen", "--family", "sharp4n", "--n", "2", "--seed", "0"],
+            None,
+            "--count and --seed apply to --random only\n",
+        ),
     ],
 )
 def test_errors_from_no_input_line_have_no_line_prefix(argv, budget_env, err, monkeypatch, capsys):
@@ -161,6 +161,19 @@ def test_gen_family(monkeypatch, capsys):
     code, out, _ = run_cli(["gen", "--family", "sharp4n", "--n", "2"], "", monkeypatch, capsys)
     assert code == 0
     assert out.strip() == write_graph6(sharp_4n(2))
+
+
+def test_gen_random_defaults_to_one_graph_from_seed_zero(monkeypatch, capsys):
+    code, out, _ = run_cli(["gen", "--random", "--n", "12"], "", monkeypatch, capsys)
+    assert (code, out) == (0, write_graph6(random_sc(12, 0)) + "\n")
+
+
+def test_stale_budget_environment_variable_is_ignored(monkeypatch, capsys):
+    # the budget is --budget or the default; no environment variable sets it
+    monkeypatch.setenv("SCMINOR_BUDGET", "10")
+    g6 = write_graph6(sharp_4n(2))
+    code, out, _ = run_cli(["hadwiger"], g6 + "\n", monkeypatch, capsys)
+    assert code == 0 and out.startswith("hadwiger: 4\n")
 
 
 def test_gen_family_invalid_parameter(monkeypatch, capsys):

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from scminor import (
     Graph,
-    OrbitAssignment,
     Permutation,
     build_plan,
     choose_generator,
@@ -59,8 +58,8 @@ def single_cycle_sc(draw):
     n = draw(st.sampled_from((4, 8, 12)))
     sigma = permutation_with_cycle_type(n, (n,))
     orbits = pair_orbits(sigma)
-    choices = tuple(draw(st.lists(st.booleans(), min_size=len(orbits), max_size=len(orbits))))
-    g = sc_from_assignment(OrbitAssignment(sigma, orbits, choices))
+    bits = draw(st.integers(0, (1 << len(orbits)) - 1))
+    g = sc_from_assignment(sigma, orbits, bits)
     perm = draw(st.permutations(range(n)))
     rho = [0] * n
     for v in range(n):

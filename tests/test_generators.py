@@ -1,3 +1,5 @@
+from collections import Counter
+from fractions import Fraction
 from math import factorial, prod
 
 import pytest
@@ -8,7 +10,6 @@ from scminor import (
     CapacityError,
     ConsistencyError,
     Graph,
-    OrbitAssignment,
     Permutation,
     canonical_form,
     complement,
@@ -29,7 +30,7 @@ from scminor import (
     sharp_4n_plus_1,
     write_graph6,
 )
-from scminor.generators import _bit_action, _centraliser_generators
+from scminor.generators import ENUMERATION_SIZES, _bit_action, _centraliser_generators
 from conftest import reference_enumerate_sc, sc_classes
 
 
@@ -134,7 +135,7 @@ def test_pair_orbits_rejects_invalid_permutation():
 def test_sc_from_assignment_p4_example():
     sigma = Permutation([1, 2, 3, 0])
     orbits = pair_orbits(sigma)
-    g = sc_from_assignment(OrbitAssignment(sigma, orbits, (True, False)))
+    g = sc_from_assignment(sigma, orbits, 0b01)
     assert sorted(g.edges()) == [(0, 1), (1, 3), (2, 3)]
     assert canonical_form(g) == canonical_form(path_graph(4))
 
@@ -144,29 +145,35 @@ def test_sc_from_assignment_all_choices_one_class():
     orbits = pair_orbits(sigma)
     forms = set()
     for bits in range(4):
-        choices = (bool(bits & 1), bool(bits & 2))
-        g = sc_from_assignment(OrbitAssignment(sigma, orbits, choices))
+        g = sc_from_assignment(sigma, orbits, bits)
         assert is_antimorphism(g, sigma)
         forms.add(canonical_form(g))
     assert len(forms) == 1
 
 
 def test_flipping_all_choices_gives_the_complement():
+    for n in (4, 5, 8, 9, 12, 13):
+        for cycle_type in sachs_cycle_types(n):
+            sigma = permutation_with_cycle_type(n, cycle_type)
+            orbits = pair_orbits(sigma)
+            full = (1 << len(orbits)) - 1
+            for bits in (0, 0b10110100 & full, full):
+                g = sc_from_assignment(sigma, orbits, bits)
+                assert sc_from_assignment(sigma, orbits, bits ^ full) == complement(g)
+
+
+def test_sc_from_assignment_rejects_bits_outside_the_orbits():
     sigma = permutation_with_cycle_type(8, (4, 4))
     orbits = pair_orbits(sigma)
-    choices = (True, False, True, True, False, True, False, False)
-    assert len(orbits) == len(choices)
-    g = sc_from_assignment(OrbitAssignment(sigma, orbits, choices))
-    flipped = sc_from_assignment(
-        OrbitAssignment(sigma, orbits, tuple(not c for c in choices))
-    )
-    assert flipped == complement(g)
+    for bits in (-1, 1 << len(orbits), 1 << 40):
+        with pytest.raises(ValueError, match="do not fit 8 orbits"):
+            sc_from_assignment(sigma, orbits, bits)
 
 
 def test_sc_from_assignment_rejects_bad_sigma():
     sigma = Permutation([1, 0, 3, 2])
     with pytest.raises(ValueError):
-        sc_from_assignment(OrbitAssignment.from_choices(sigma, ()))
+        sc_from_assignment(sigma, (), 0)
 
 
 def test_enumerate_counts_small():
@@ -176,6 +183,20 @@ def test_enumerate_counts_small():
     canon5 = {canonical_form(g) for g in sc_classes(5)}
     assert canonical_form(cycle_graph(5)) in canon5
     assert canonical_form(sharp_4n_plus_1(1)) in canon5
+
+
+def test_class_counts_equal_the_burnside_sum_over_sachs_cycle_types():
+    # Read (J. London Math. Soc. 38, 1963): the number of SC classes on n
+    # vertices is the sum over antimorphism cycle types of
+    # 2^(pair orbits) / z, z = prod over cycle lengths a of a^m * m!, where
+    # m is the multiplicity of a (the fixed point of n = 4k + 1 gives 1).
+    for n in ENUMERATION_SIZES:
+        total = Fraction(0)
+        for cycle_type in sachs_cycle_types(n):
+            sigma = permutation_with_cycle_type(n, cycle_type)
+            z = prod(a**m * factorial(m) for a, m in Counter(cycle_type).items())
+            total += Fraction(2 ** len(pair_orbits(sigma)), z)
+        assert total == len(sc_classes(n)), f"n={n}"
 
 
 def test_enumerate_outputs_are_self_complementary():
@@ -270,24 +291,20 @@ def centraliser_moves(draw):
     return sigma, orbits, pi, bits
 
 
-def _assignment_graph(sigma, orbits, bits):
-    choices = tuple(bool((bits >> i) & 1) for i in range(len(orbits)))
-    return sc_from_assignment(OrbitAssignment(sigma, orbits, choices))
-
-
 @settings(max_examples=60, deadline=None)
 @given(centraliser_moves())
 def test_bit_action_builds_the_relabelled_graph(move):
     sigma, orbits, pi, bits = move
-    g = _assignment_graph(sigma, orbits, bits)
+    g = sc_from_assignment(sigma, orbits, bits)
     relabelled = Graph(g.n, [(pi(u), pi(v)) for u, v in g.edges()])
-    assert _assignment_graph(sigma, orbits, _bit_action(orbits, pi)(bits)) == relabelled
+    assert sc_from_assignment(sigma, orbits, _bit_action(orbits, pi)(bits)) == relabelled
 
 
 def test_sc_from_assignment_raises_consistency_error_not_assert(monkeypatch):
     sigma = permutation_with_cycle_type(8, (8,))
-    assignment = OrbitAssignment.from_choices(sigma, (True,) * len(pair_orbits(sigma)))
-    assert is_antimorphism(sc_from_assignment(assignment), sigma)
+    orbits = pair_orbits(sigma)
+    bits = (1 << len(orbits)) - 1
+    assert is_antimorphism(sc_from_assignment(sigma, orbits, bits), sigma)
     monkeypatch.setattr(scminor.generators, "is_antimorphism", lambda g, p: False)
     with pytest.raises(ConsistencyError, match="not an antimorphism"):
-        sc_from_assignment(assignment)
+        sc_from_assignment(sigma, orbits, bits)

@@ -2,9 +2,13 @@
 the verbs that print graph6 lines or a whole-class summary.
 
 The other CLI tests compare parsed JSON, so they cannot see a change in key
-order, spacing or line layout.  These pin the bytes themselves.
+order, spacing or line layout.  These pin the bytes themselves.  Longer
+outputs are pinned by their sha256: the class order of ``enum`` and the
+``random_sc`` draws behind ``gen --random``, which the benchmark inputs are
+built from.
 """
 
+import hashlib
 import io
 import sys
 
@@ -137,3 +141,37 @@ def test_golden_stdout(argv, stdin_text, code, stdout, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
     assert main(argv) == code
     assert capsys.readouterr().out == stdout
+
+
+# sha256 of stdout: a change reorders the classes of enum or changes the
+# random_sc draws that the benchmark's certify and census inputs come from
+DIGESTS = [
+    (["enum", "--n", "8"], "f14519a8c90a9e292ffc926ccc9354ea03806347aa1fcee241c9aa88b103ec5e"),
+    (["enum", "--n", "9"], "c72e3c17960c43c2496b5f595d61762d8c05d3286a09314d1ade1a389f86fb84"),
+    (
+        ["enum", "--n", "12", "--allow-large"],
+        "dae914a2906bdae0ae951c2639453ec1a7b01f6b20057344c5f0c89b986f425b",
+    ),
+] + [
+    (["gen", "--random", "--n", str(n), "--count", "20", "--seed", "0"], digest)
+    for n, digest in (
+        (4, "2767bad904920f7acf79a0a18ed289ae62ee1ca89ecb0ed592d765ebe1cfd9cc"),
+        (5, "e39bf93182b3159a419fb8420ce672adda1a80059857f5ab214509cbdaff41c5"),
+        (8, "344caa983ad1c7788958b05edfc369b076beb6c5407d3d71a4abcd2ef2f7ebd7"),
+        (9, "261fd1f0184159524893439fb85738320f4dae434b182f6c93fde6d2d34c0acd"),
+        (12, "7ad57c274a8b7e6fcb09a9b346f4c8e5942202828005da2c75a529aa29f9838e"),
+        (13, "bef5cc759c8fcecee2d2be5f09df3c30d0ccb2e28eb4924500d87901a9ca7de6"),
+        (16, "16fc7eca6a9c359647e1ac589ff150cfe107d16fca61561c44ae7521f908fa52"),
+        (17, "5615182e7ba020329fc8b5df716b70e80d0d9eebce67499fcc90e5305e25682b"),
+        (20, "976ba4d29efe451be55caf01ab0e6afc24bfac6fd66e70a13aec17bae2cb03c3"),
+        (21, "335027579bd78337cb20693977fd63c5302a9ce05615e7360dff90a40fc553a5"),
+        (41, "05abb6bd6ed8a1b8858e287201c956bb2e1c296c03831d009905e71a41de862a"),
+        (61, "31b18f0bda9500e7669907fdc2aef36f6389929ea7415cd09b491a60ecff1b82"),
+    )
+]
+
+
+@pytest.mark.parametrize("argv, digest", DIGESTS, ids=[" ".join(argv) for argv, _ in DIGESTS])
+def test_golden_stdout_digest(argv, digest, capsys):
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -8,14 +8,11 @@ from scminor import (
     CapacityError,
     Graph,
     Graph6Error,
-    MatchingError,
     canonical_form,
     complement,
     complete_graph,
-    contract_matching,
     cycle_graph,
     induced_subgraph,
-    join,
     parse_graph6,
     path_graph,
     random_sc,
@@ -28,8 +25,6 @@ from conftest import (
     iso_classes_up_to,
     random_graph,
     reference_canonical_form,
-    reference_contract_matching,
-    reference_join,
     reference_parse_graph6,
     reference_tied_labelings,
     reference_write_graph6,
@@ -115,60 +110,6 @@ def test_induced_subgraph_equals_the_edge_list_build(n, p, seed):
     assert induced_subgraph(g, reversed(keep)) == (want, relabel)
 
 
-def test_contract_matching_fixed_cases():
-    g, branch = contract_matching(path_graph(4), [(0, 1), (2, 3)])
-    assert g == complete_graph(2)
-    assert branch == {0: 0, 1: 0, 2: 1, 3: 1}
-
-    same, branch = contract_matching(path_graph(4), [])
-    assert same == path_graph(4)
-    assert branch == {v: v for v in range(4)}
-
-    k3, branch = contract_matching(cycle_graph(5), [(1, 2), (3, 4)])
-    assert k3 == complete_graph(3)
-    assert branch == {1: 0, 2: 0, 3: 1, 4: 1, 0: 2}
-
-
-def test_contract_matching_errors():
-    with pytest.raises(MatchingError):
-        contract_matching(path_graph(4), [(0, 2)])
-    with pytest.raises(MatchingError):
-        contract_matching(path_graph(4), [(0, 1), (1, 2)])
-
-
-def test_contract_matching_properties():
-    rng = random.Random(5)
-    for _ in range(100):
-        g = random_graph(rng, rng.randrange(2, 12), 0.6)
-        edges = g.edges()
-        rng.shuffle(edges)
-        matching = []
-        used: set[int] = set()
-        for u, v in edges:
-            if u not in used and v not in used:
-                matching.append((u, v))
-                used.update((u, v))
-        contracted, branch = contract_matching(g, matching)
-        assert contracted.n == g.n - len(matching)
-        assert sorted(set(branch.values())) == list(range(contracted.n))
-        assert contracted.num_edges <= g.num_edges - len(matching)
-        for u, v in matching:
-            assert branch[u] == branch[v]
-
-
-def test_join():
-    assert join(complete_graph(4), complete_graph(2)) == complete_graph(6)
-    assert join(Graph(1), Graph(1)) == complete_graph(2)
-    for k in (1, 2, 3):
-        assert join(complete_graph(2 * k), complete_graph(1)) == complete_graph(2 * k + 1)
-    rng = random.Random(3)
-    for _ in range(20):
-        g1 = random_graph(rng, rng.randrange(0, 6))
-        g2 = random_graph(rng, rng.randrange(0, 6))
-        j = join(g1, g2)
-        assert j.num_edges == g1.num_edges + g2.num_edges + g1.n * g2.n
-
-
 def test_graph6_fixed_strings():
     assert parse_graph6("@") == Graph(1)
     assert parse_graph6("C~") == complete_graph(4)
@@ -246,17 +187,6 @@ def test_graph6_ignores_surrounding_ascii_whitespace():
 def test_graph6_empty_graph():
     assert write_graph6(Graph(0)) == "?"
     assert parse_graph6("?") == Graph(0)
-
-
-def test_is_connected_subset():
-    from scminor import is_connected_subset
-
-    g = path_graph(4)
-    assert is_connected_subset(g, [1, 2, 3])
-    assert not is_connected_subset(g, [0, 2])
-    assert is_connected_subset(g, [3])
-    with pytest.raises(ValueError):
-        is_connected_subset(g, [5])
 
 
 def test_canonical_fixed_cases():
@@ -433,34 +363,3 @@ def test_malformed_graph6_raises_as_the_edge_list_reference(n, p, seed, data):
         else:
             text = text[:at]
     assert _outcome(parse_graph6, text) == _outcome(reference_parse_graph6, text)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 40), st.integers(0, 40), st.floats(0.0, 1.0), st.integers(0, 2**32))
-def test_join_matches_the_edge_list_reference(n1, n2, p, seed):
-    rng = random.Random(seed)
-    g1, g2 = random_graph(rng, n1, p), random_graph(rng, n2, 1 - p)
-    assert _outcome(join, g1, g2) == _outcome(reference_join, g1, g2)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 16), st.floats(0.0, 1.0), st.integers(0, 2**32), st.data())
-def test_contract_matching_matches_the_edge_list_reference(n, p, seed, data):
-    g = random_graph(random.Random(seed), n, p)
-    edges = g.edges()
-    matching = []
-    for _ in range(data.draw(st.integers(0, 6))):
-        kind = data.draw(st.sampled_from(("edge", "edge", "pair", "short", "long")))
-        if kind == "edge" and edges:
-            matching.append(data.draw(st.sampled_from(edges)))
-        elif kind == "pair":
-            matching.append(tuple(data.draw(st.integers(-1, n)) for _ in range(2)))
-        elif kind == "short":
-            matching.append((data.draw(st.integers(0, max(n - 1, 0))),))
-        elif kind == "long":
-            matching.append((0, 1, 2))
-    new = _outcome(contract_matching, g, matching)
-    old = _outcome(reference_contract_matching, g, matching)
-    assert new == old
-    if new[0] == "returned":
-        assert list(new[1][1].items()) == list(old[1][1].items())

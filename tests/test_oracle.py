@@ -4,7 +4,6 @@ import pytest
 
 from scminor import (
     Graph,
-    MinorQuery,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -20,24 +19,24 @@ from conftest import iso_classes_up_to, random_graph, reference_hadwiger
 
 
 def test_has_minor_fixed_answers():
-    assert has_minor(MinorQuery(path_graph(4), complete_graph(3))).answer == "no"
-    assert has_minor(MinorQuery(cycle_graph(5), complete_graph(3))).answer == "yes"
-    assert has_minor(MinorQuery(sharp_4n(2), complete_graph(5))).answer == "no"
-    assert has_minor(MinorQuery(path_graph(4), complete_graph(1))).answer == "yes"
-    assert has_minor(MinorQuery(Graph(3), complete_graph(0))).answer == "yes"
-    assert has_minor(MinorQuery(complete_graph(3), complete_graph(4))).answer == "no"
+    assert has_minor(path_graph(4), complete_graph(3)).answer == "no"
+    assert has_minor(cycle_graph(5), complete_graph(3)).answer == "yes"
+    assert has_minor(sharp_4n(2), complete_graph(5)).answer == "no"
+    assert has_minor(path_graph(4), complete_graph(1)).answer == "yes"
+    assert has_minor(Graph(3), complete_graph(0)).answer == "yes"
+    assert has_minor(complete_graph(3), complete_graph(4)).answer == "no"
 
 
 def test_has_minor_general_targets():
-    assert has_minor(MinorQuery(cycle_graph(5), complete_bipartite(2, 3))).answer == "no"
-    assert has_minor(MinorQuery(complete_graph(5), complete_bipartite(2, 3))).answer == "yes"
+    assert has_minor(cycle_graph(5), complete_bipartite(2, 3)).answer == "no"
+    assert has_minor(complete_graph(5), complete_bipartite(2, 3)).answer == "yes"
     assert (
-        has_minor(MinorQuery(complete_bipartite(2, 3), complete_bipartite(2, 3))).answer
+        has_minor(complete_bipartite(2, 3), complete_bipartite(2, 3)).answer
         == "yes"
     )
-    assert has_minor(MinorQuery(complete_bipartite(2, 3), complete_graph(4))).answer == "no"
+    assert has_minor(complete_bipartite(2, 3), complete_graph(4)).answer == "no"
     assert (
-        has_minor(MinorQuery(complete_bipartite(3, 3), complete_bipartite(3, 3))).answer
+        has_minor(complete_bipartite(3, 3), complete_bipartite(3, 3)).answer
         == "yes"
     )
 
@@ -55,7 +54,7 @@ def test_every_yes_witness_verifies():
     for _ in range(60):
         host = random_graph(rng, rng.randrange(4, 10), 0.55)
         target = targets[rng.randrange(len(targets))]
-        outcome = has_minor(MinorQuery(host, target))
+        outcome = has_minor(host, target)
         if outcome.answer == "yes":
             yes_seen += 1
             assert verify_minor_model(host, outcome.model, target).ok
@@ -64,12 +63,12 @@ def test_every_yes_witness_verifies():
 
 
 def test_budget_exhaustion_is_explicit():
-    outcome = has_minor(MinorQuery(sharp_4n(2), complete_graph(5), budget=5))
+    outcome = has_minor(sharp_4n(2), complete_graph(5), budget=5)
     assert outcome.answer == "budget_exceeded"
     assert outcome.model is None
     assert outcome.expansions >= 5
     with pytest.raises(ValueError):
-        has_minor(MinorQuery(path_graph(4), complete_graph(2), budget=0))
+        has_minor(path_graph(4), complete_graph(2), budget=0)
 
 
 def test_hadwiger_rejects_a_non_positive_budget():
@@ -129,20 +128,10 @@ def test_sharp_families_at_m3_are_exact_within_a_small_budget():
     assert seven.exact and seven.value == 7 and seven.upper_bound == 7
 
 
-def test_minor_outcome_json_schema():
-    yes = has_minor(MinorQuery(cycle_graph(5), complete_graph(3)))
-    data = yes.to_json_dict()
-    assert set(data) == {"answer", "witness", "expansions"}
-    assert data["answer"] == "yes"
-    assert data["witness"]["k"] == 3
-    no = has_minor(MinorQuery(path_graph(4), complete_graph(3)))
-    assert no.to_json_dict() == {"answer": "no", "witness": None, "expansions": no.expansions}
-
-
 def test_witnesses_are_deterministic():
     g = sharp_4n(2)
-    a = has_minor(MinorQuery(g, complete_graph(4)))
-    b = has_minor(MinorQuery(g, complete_graph(4)))
+    a = has_minor(g, complete_graph(4))
+    b = has_minor(g, complete_graph(4))
     assert a.model.branch_sets == b.model.branch_sets
     ha = hadwiger(g)
     hb = hadwiger(g)

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from scminor import (
     Graph,
-    MinorQuery,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -153,7 +152,7 @@ def test_pinned_planarity_target_searches():
     for (host_name, target_name), pin in PINNED.items():
         answer, expansions, sets, general = pin
         host, target = HOSTS[host_name], TARGETS[target_name]
-        outcome = has_minor(MinorQuery(host, target))
+        outcome = has_minor(host, target)
         assert outcome.answer == answer
         if outcome.model is None:
             assert sets is None
