@@ -16,7 +16,6 @@ from .graphs import (
 from .antimorphism import (
     CycleDecomposition,
     Permutation,
-    SachsCheck,
     SidePartition,
     check_sachs,
     cycle_decomposition,

@@ -92,29 +92,20 @@ def cycle_decomposition(p: Permutation) -> CycleDecomposition:
     return CycleDecomposition(tuple(cycles), tuple(fixed))
 
 
-@dataclass(frozen=True)
-class SachsCheck:
-    ok: bool
-    reason: str
-
-
-def check_sachs(dec: CycleDecomposition, n: int) -> SachsCheck:
-    """Validate the forced cycle structure of an antimorphism on n vertices."""
+def check_sachs(dec: CycleDecomposition, n: int) -> str | None:
+    """The first broken condition of the forced cycle structure of an
+    antimorphism on n vertices, or None when the structure holds."""
     if n % 4 not in (0, 1):
-        return SachsCheck(False, f"n={n} is not 0 or 1 mod 4")
+        return f"n={n} is not 0 or 1 mod 4"
     for cyc in dec.cycles:
         if len(cyc) % 4 != 0:
-            return SachsCheck(
-                False, f"cycle length {len(cyc)} not divisible by 4"
-            )
-    want_fixed = n % 4
-    if len(dec.fixed_points) != want_fixed:
-        return SachsCheck(
-            False,
-            f"expected {want_fixed} fixed point(s) for n={n}, "
-            f"found {len(dec.fixed_points)}",
+            return f"cycle length {len(cyc)} is not divisible by 4"
+    if len(dec.fixed_points) != n % 4:
+        return (
+            f"expected {n % 4} fixed point(s) for n={n}, "
+            f"found {len(dec.fixed_points)}"
         )
-    return SachsCheck(True, "ok")
+    return None
 
 
 def is_antimorphism(g: Graph, p: Permutation) -> bool:
@@ -284,6 +275,8 @@ def side_partition(g: Graph, rho: Permutation) -> SidePartition:
 
 
 def _validate_cycle(p: Permutation, cycle: Sequence[int]) -> tuple[int, ...]:
+    """``cycle`` as a tuple, once it is a nonempty cycle of ``p`` whose
+    length is divisible by 4, as every cycle of an antimorphism is."""
     cyc = tuple(cycle)
     if not cyc:
         raise ValueError("empty cycle")
@@ -291,6 +284,8 @@ def _validate_cycle(p: Permutation, cycle: Sequence[int]) -> tuple[int, ...]:
     for i, v in enumerate(cyc):
         if p(v) != cyc[(i + 1) % size]:
             raise ValueError(f"{cyc!r} is not closed under the permutation")
+    if size % 4 != 0:
+        raise ValueError(f"cycle length {size} is not divisible by 4")
     return cyc
 
 
@@ -302,18 +297,11 @@ def cycle_side_counts(
     A cycle of length 4m contributes 2m vertices to each side, and each of
     its vertices has exactly m neighbours inside the cycle on the opposite
     side.  Returns (count on high side, count on low side, per-vertex cross
-    degree in cycle order).  For n = 4k + 1 the split is taken among the
-    vertices other than the fixed point.
+    degree in cycle order).  The split is taken among the vertices that rho
+    does not fix; ``_degree_split`` rejects a rho that is no antimorphism.
     """
     cyc = _validate_cycle(rho, cycle)
-    if len(cyc) % 4 != 0:
-        raise ValueError(f"cycle length {len(cyc)} is not divisible by 4")
-    rest = (1 << g.n) - 1
-    if g.n % 4 == 1:
-        fixed = cycle_decomposition(rho).fixed_points
-        if len(fixed) != 1:
-            raise ValueError("expected exactly one fixed point for n = 4k + 1")
-        rest &= ~(1 << fixed[0])
+    rest = sum(1 << v for v, w in enumerate(rho.image) if v != w)
     high = _degree_split(g, rho, rest)
     members = sum(1 << v for v in cyc)
     in_high = (members & high).bit_count()

@@ -2,16 +2,17 @@
 
 Verbs: check, minor, hadwiger, gen, enum, topo, verify-theorem.  Graph
 input is one graph6 string per line, from a file argument or stdin.
-``verify-theorem`` checks the guaranteed minor on every self-complementary
-class of its size, n = 12 and 13 included.  ``enum`` asks ``--allow-large``
-before it enumerates n = 12 or 13, because that costs seconds.  ``gen``
-takes ``--count`` and ``--seed`` with ``--random`` only.  The oracle
-budget of ``hadwiger`` and ``topo`` is ``--budget``, else 10^8.  Exit
-codes: 0 success, 1 negative verdict (e.g. not self-complementary), 2 usage
-or input error, 3 oracle budget exhausted or, for ``topo``, a certificate
-left indeterminate because the host has more than ``ORACLE_HOST_CAP`` (13)
-vertices.  An exhausted ``hadwiger`` reports ``expansions`` as the budget
-plus one: the expansion that crossed the budget is counted.
+``enum`` and ``verify-theorem`` take every size that ``enumerate_sc``
+supports, n = 12 and 13 included (seconds each), and state its size rule
+for any other; ``verify-theorem`` checks the guaranteed minor on every
+self-complementary class of its size.  ``gen`` takes ``--count`` and
+``--seed`` with ``--random`` only.  The oracle budget of ``hadwiger`` and
+``topo`` is ``--budget``, else 10^8.  Exit codes: 0 success, 1 negative
+verdict (e.g. not self-complementary), 2 usage or input error, 3 oracle
+budget exhausted or, for ``topo``, a certificate left indeterminate
+because the host has more than ``ORACLE_HOST_CAP`` (13) vertices.  An
+exhausted ``hadwiger`` reports ``expansions`` as the budget plus one: the
+expansion that crossed the budget is counted.
 
 Each verb returns or yields ``(payload, text, exit code)`` answers; ``main``
 prints them one by one, so ``gen`` prints each graph as it is built.
@@ -35,14 +36,7 @@ from .graphs import (
 )
 from .antimorphism import check_sachs, cycle_decomposition, find_antimorphism
 from .construction import build_plan, guaranteed_minor, realize_minor
-from .generators import (
-    ENUMERATION_SIZES,
-    LARGE_ENUMERATION_SIZES,
-    enumerate_sc,
-    random_sc,
-    sharp_4n,
-    sharp_4n_plus_1,
-)
+from .generators import enumerate_sc, random_sc, sharp_4n, sharp_4n_plus_1
 from .oracle import DEFAULT_BUDGET, hadwiger
 from .topology import APEX_CAP, CERTIFICATE, INDETERMINATE, NONE_FOUND, report
 
@@ -101,10 +95,6 @@ def _iter_graphs(path: str) -> Iterator[Graph]:
             stream.close()
 
 
-def _emit(payload: dict, plain: str, as_json: bool) -> None:
-    print(json.dumps(payload) if as_json else plain)
-
-
 def _answer_each(
     answer: Callable[[Graph, argparse.Namespace], Answer], args: argparse.Namespace
 ) -> Iterator[Answer]:
@@ -123,12 +113,11 @@ def cmd_check(g: Graph, args: argparse.Namespace) -> Answer:
     if rho is None:
         payload = {"n": g.n, "self_complementary": False}
         return payload, "self-complementary: no", EXIT_NEGATIVE
-    sachs = check_sachs(cycle_decomposition(rho), g.n)
+    fault = check_sachs(cycle_decomposition(rho), g.n)
     notation = rho.cycle_notation()
     return (
-        {"n": g.n, "self_complementary": True, "rho": notation, "sachs_ok": sachs.ok},
-        f"self-complementary: yes, rho={notation}, "
-        f"sachs={'ok' if sachs.ok else sachs.reason}",
+        {"n": g.n, "self_complementary": True, "rho": notation, "sachs_ok": fault is None},
+        f"self-complementary: yes, rho={notation}, sachs={fault or 'ok'}",
         EXIT_OK,
     )
 
@@ -234,23 +223,21 @@ def cmd_gen(args: argparse.Namespace) -> Iterator[Answer]:
     return _graph6_answers(random_sc(args.n, seed + i) for i in range(count))
 
 
-def cmd_enum(args: argparse.Namespace) -> Iterator[Answer]:
-    if args.n in LARGE_ENUMERATION_SIZES and not args.allow_large:
-        raise _InputError(
-            f"enumeration at n={args.n} is expensive; pass --allow-large to run it"
-        )
+def _enumerate(n: int) -> list[Graph]:
+    """``enumerate_sc(n)``, with its size rule turned into an input error."""
     try:
-        graphs = enumerate_sc(args.n)
+        return enumerate_sc(n)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    return _graph6_answers(graphs)
+
+
+def cmd_enum(args: argparse.Namespace) -> Iterator[Answer]:
+    return _graph6_answers(_enumerate(args.n))
 
 
 def cmd_verify_theorem(args: argparse.Namespace) -> list[Answer]:
     n = args.n
-    if n not in ENUMERATION_SIZES:
-        raise _InputError(f"supported sizes: {ENUMERATION_SIZES}")
-    graphs = enumerate_sc(n)
+    graphs = _enumerate(n)
     order = (n + 1) // 2
     verified = sum(1 for g in graphs if guaranteed_minor(g) is not None)
     ok = verified == len(graphs)
@@ -324,11 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         "enum", help="every self-complementary graph on n vertices, one per class"
     )
     p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--allow-large",
-        action="store_true",
-        help="permit the slow sizes (n = 12, 13)",
-    )
     _add_json(p)
     p.set_defaults(func=cmd_enum)
 
@@ -360,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     code = EXIT_OK
     try:
         for payload, plain, answer_code in args.func(args):
-            _emit(payload, plain, args.json)
+            print(json.dumps(payload) if args.json else plain)
             code = max(code, answer_code)
     except _InputError as exc:
         where = "" if exc.lineno is None else f"line {exc.lineno}: "

@@ -31,7 +31,6 @@ from .antimorphism import (
 )
 
 ENUMERATION_SIZES = (1, 4, 5, 8, 9, 12, 13)
-LARGE_ENUMERATION_SIZES = (12, 13)  # seconds each; the CLI's enum asks --allow-large
 
 
 def complete_graph(k: int) -> Graph:
@@ -169,9 +168,9 @@ def sc_from_assignment(
     every step along the orbit.  The result always admits ``sigma`` as an
     antimorphism.
     """
-    sachs = check_sachs(cycle_decomposition(sigma), sigma.n)
-    if not sachs.ok:
-        raise ValueError(f"invalid generating permutation: {sachs.reason}")
+    fault = check_sachs(cycle_decomposition(sigma), sigma.n)
+    if fault is not None:
+        raise ValueError(f"invalid generating permutation: {fault}")
     if bits < 0 or bits >> len(orbits):
         raise ValueError(f"orbit bits {bits} do not fit {len(orbits)} orbits")
     check_order(sigma.n)
@@ -260,9 +259,10 @@ def _bit_action(
 def enumerate_sc(n: int) -> list[Graph]:
     """One representative per isomorphism class of self-complementary graphs.
 
-    Supported sizes are ``ENUMERATION_SIZES``: 1, 4, 5, 8, 9, 12 and 13.  On
-    one Xeon core n = 9 takes about 0.03 s, n = 12 about 1.5 s and n = 13
-    about 11.5 s.
+    Supported sizes are ``ENUMERATION_SIZES``: 1, 4, 5, 8, 9, 12 and 13;
+    any other n raises ``ValueError``, the one size rule that the CLI's
+    ``enum`` and ``verify-theorem`` report.  On one Xeon core n = 9 takes
+    about 0.03 s, n = 12 about 1.5 s and n = 13 about 11.5 s.
     Output order is deterministic: cycle types largest-first, orbit choice
     bits counting up, first representative of each class kept.
 

@@ -149,8 +149,7 @@ def induced_subgraph(
     keep = sorted(set(vertices))
     kept = 0
     for v in keep:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
+        g._check_vertices(v)
         kept |= 1 << v
     # squeeze each dropped bit out of every kept mask, highest first, so the
     # lower positions still to be dropped stay where they are

@@ -189,10 +189,6 @@ def _general_minor_sets(
     return None if done is None else tuple(done[order.index(i)] for i in range(target.n))
 
 
-def _is_complete(g: Graph) -> bool:
-    return g.num_edges == g.n * (g.n - 1) // 2
-
-
 def _checked(host: Graph, target: Graph, sets: tuple[int, ...]) -> MinorModel:
     model = MinorModel(tuple(frozenset(iter_bits(m)) for m in sets))
     return checked_model(host, model, target, "oracle witness")
@@ -211,7 +207,7 @@ def has_minor(host: Graph, target: Graph, budget: int = DEFAULT_BUDGET) -> Minor
         return MinorOutcome(NO, None, 0)
     meter = _Budget(budget)
     try:
-        if _is_complete(target):
+        if target.num_edges == target.n * (target.n - 1) // 2:  # complete target
             sets = _clique_minor_sets(host, target.n, meter)
         else:
             sets = _general_minor_sets(host, target, meter)

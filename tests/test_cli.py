@@ -113,7 +113,11 @@ def test_non_positive_budget_is_a_usage_error(verb, budget, monkeypatch, capsys)
 @pytest.mark.parametrize(
     "argv, budget_env, err",
     [
-        (["verify-theorem", "--n", "7"], None, "supported sizes: (1, 4, 5, 8, 9, 12, 13)\n"),
+        (
+            ["verify-theorem", "--n", "7"],
+            None,
+            "enumeration supports n in (1, 4, 5, 8, 9, 12, 13), got 7\n",
+        ),
         (
             ["gen", "--random", "--n", "8", "--count", "0"],
             None,
@@ -246,10 +250,12 @@ def test_enum_verb(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("n", ["12", "13"])
-def test_enum_large_sizes_name_the_cli_flag(n, monkeypatch, capsys):
-    code, out, err = run_cli(["enum", "--n", n], "", monkeypatch, capsys)
-    assert code == 2 and out == ""
-    assert err == f"enumeration at n={n} is expensive; pass --allow-large to run it\n"
+def test_enum_large_sizes_name_the_cli_flag(n, capsys):
+    # enum runs every supported size unasked, so --allow-large is no option
+    with pytest.raises(SystemExit) as exc:
+        main(["enum", "--n", n, "--allow-large"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_topo_verb(monkeypatch, capsys):

@@ -13,6 +13,7 @@ from scminor import (
     cycle_decomposition,
     cycle_graph,
     cycle_matching,
+    cycle_side_counts,
     find_antimorphism,
     guaranteed_minor,
     has_minor,
@@ -101,6 +102,13 @@ def test_cycle_matching_detects_broken_antimorphism():
     fake = Permutation([1, 2, 3, 0])
     with pytest.raises(ConsistencyError):
         cycle_matching(star, fake, (0, 1, 2, 3))
+
+
+@pytest.mark.parametrize("cycle_function", [choose_generator, cycle_matching, cycle_side_counts])
+def test_every_cycle_function_rejects_a_cycle_of_length_2(cycle_function):
+    # (0 1) is a closed cycle of rho = (0 1)(2 3), but no antimorphism has it
+    with pytest.raises(ValueError, match="^cycle length 2 is not divisible by 4$"):
+        cycle_function(path_graph(4), Permutation([1, 0, 3, 2]), (0, 1))
 
 
 def test_odd_shift_matching_shift_one_matches_cycle_matching():

@@ -300,6 +300,86 @@ def test_bit_action_builds_the_relabelled_graph(move):
     assert sc_from_assignment(sigma, orbits, _bit_action(orbits, pi)(bits)) == relabelled
 
 
+def _affine_fixed_points(act, k: int) -> int:
+    """Fixed points of the affine map b -> A b + c = act(b) on k bits over
+    GF(2): the solutions of (A + I) b = c, 0 or 2^(k - rank(A + I))."""
+    c = act(0)
+    # row i holds row i of A + I in bits 0..k-1 and c_i in bit k
+    rows = [(c >> i & 1) << k for i in range(k)]
+    for j in range(k):
+        column = act(1 << j) ^ c ^ (1 << j)
+        for i in range(k):
+            rows[i] |= (column >> i & 1) << j
+    coefficients = (1 << k) - 1
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row & coefficients:
+            top = (row & coefficients).bit_length() - 1
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+        else:
+            if row:  # 0 = 1: no solution
+                return 0
+    return 2 ** (k - len(pivots))
+
+
+def _burnside_orbit_counts(n: int) -> list[int]:
+    """Per cycle type of ``sachs_cycle_types(n)``, the number of centraliser
+    orbits on orbit assignments: the mean over the whole centraliser (the
+    closure of ``_centraliser_generators``) of each element's fixed
+    assignments."""
+    counts = []
+    for cycle_type in sachs_cycle_types(n):
+        sigma = permutation_with_cycle_type(n, cycle_type)
+        orbits = pair_orbits(sigma)
+        gens = _centraliser_generators(sigma, cycle_type)
+        group = {tuple(range(n))}
+        frontier = list(group)
+        while frontier:
+            image = frontier.pop()
+            for pi in gens:
+                step = tuple(pi(v) for v in image)
+                if step not in group:
+                    group.add(step)
+                    frontier.append(step)
+        fixed = sum(
+            _affine_fixed_points(_bit_action(orbits, Permutation(image)), len(orbits))
+            for image in group
+        )
+        assert fixed % len(group) == 0, f"n={n}, type {cycle_type}"
+        counts.append(fixed // len(group))
+    return counts
+
+
+@pytest.mark.parametrize("n", [n for n in ENUMERATION_SIZES if n <= 12])
+def test_enumerate_builds_one_assignment_per_centraliser_orbit(n, monkeypatch):
+    built = Counter()
+
+    def counting(sigma, orbits, bits):
+        built[sigma.image] += 1
+        return sc_from_assignment(sigma, orbits, bits)
+
+    monkeypatch.setattr(scminor.generators, "sc_from_assignment", counting)
+    enumerate_sc(n)
+    per_type = [
+        built[permutation_with_cycle_type(n, t).image] for t in sachs_cycle_types(n)
+    ]
+    assert per_type == _burnside_orbit_counts(n)
+
+
+def test_centraliser_orbit_counts_by_burnside():
+    assert {n: _burnside_orbit_counts(n) for n in (4, 5, 8, 9, 12, 13)} == {
+        4: [2],
+        5: [4],
+        8: [8, 24],
+        9: [16, 88],
+        12: [32, 160, 1760],
+        13: [64, 640, 13504],
+    }
+
+
 def test_sc_from_assignment_raises_consistency_error_not_assert(monkeypatch):
     sigma = permutation_with_cycle_type(8, (8,))
     orbits = pair_orbits(sigma)

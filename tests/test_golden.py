@@ -149,7 +149,7 @@ DIGESTS = [
     (["enum", "--n", "8"], "f14519a8c90a9e292ffc926ccc9354ea03806347aa1fcee241c9aa88b103ec5e"),
     (["enum", "--n", "9"], "c72e3c17960c43c2496b5f595d61762d8c05d3286a09314d1ade1a389f86fb84"),
     (
-        ["enum", "--n", "12", "--allow-large"],
+        ["enum", "--n", "12"],
         "dae914a2906bdae0ae951c2639453ec1a7b01f6b20057344c5f0c89b986f425b",
     ),
 ] + [
