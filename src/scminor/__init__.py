@@ -29,7 +29,6 @@ from .construction import (
     CycleContraction,
     InvalidShiftError,
     MinorModel,
-    ModelCheck,
     build_plan,
     choose_generator,
     cycle_matching,

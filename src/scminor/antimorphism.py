@@ -275,13 +275,16 @@ def side_partition(g: Graph, rho: Permutation) -> SidePartition:
 
 
 def _validate_cycle(p: Permutation, cycle: Sequence[int]) -> tuple[int, ...]:
-    """``cycle`` as a tuple, once it is a nonempty cycle of ``p`` whose
-    length is divisible by 4, as every cycle of an antimorphism is."""
+    """``cycle`` as a tuple, once it is a nonempty cycle of ``p`` on vertices
+    0..n-1 whose length is divisible by 4, as every cycle of an antimorphism
+    is."""
     cyc = tuple(cycle)
     if not cyc:
         raise ValueError("empty cycle")
     size = len(cyc)
     for i, v in enumerate(cyc):
+        if not 0 <= v < p.n:
+            raise ValueError(f"vertex {v} out of range for n={p.n}")
         if p(v) != cyc[(i + 1) % size]:
             raise ValueError(f"{cyc!r} is not closed under the permutation")
     if size % 4 != 0:

@@ -64,63 +64,54 @@ class ContractionPlan:
 
 @dataclass(frozen=True)
 class MinorModel:
-    """Disjoint connected branch sets witnessing a minor in some host graph."""
+    """Disjoint connected branch sets witnessing a minor in some host graph.
 
-    branch_sets: tuple[frozenset[int], ...]
+    Each branch set is a vertex mask: bit v is set iff vertex v is in it.
+    """
+
+    masks: tuple[int, ...]
 
     @property
     def k(self) -> int:
-        return len(self.branch_sets)
+        return len(self.masks)
 
     def to_json_dict(self) -> dict:
         """The one JSON shape of a witness: its order k and its sorted branch sets."""
-        return {"k": self.k, "branch_sets": [sorted(s) for s in self.branch_sets]}
+        return {"k": self.k, "branch_sets": [list(iter_bits(m)) for m in self.masks]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
 
 
-@dataclass(frozen=True)
-class ModelCheck:
-    ok: bool
-    reason: str | None = None
-    pair: tuple[int, int] | None = None
-
-
-def verify_minor_model(g: Graph, model: MinorModel, target: Graph) -> ModelCheck:
+def verify_minor_model(g: Graph, model: MinorModel, target: Graph) -> str | None:
     """Check a branch-set family directly against the minor definition.
 
-    Passes iff the sets are nonempty, disjoint, each connected in the host,
-    one per target vertex, and every target edge has a host edge between the
-    corresponding sets.  Reports the first violated target pair.
+    Returns None iff the sets are nonempty, disjoint, each connected in the
+    host, one per target vertex, and every target edge has a host edge
+    between the corresponding sets.  Otherwise returns the first fault as
+    text, which names the first violated target pair if a pair fails.
     """
-    sets = model.branch_sets
-    if len(sets) != target.n:
-        return ModelCheck(
-            False, f"{len(sets)} branch sets for a {target.n}-vertex target"
-        )
-    masks = []
+    masks = model.masks
+    if len(masks) != target.n:
+        return f"{len(masks)} branch sets for a {target.n}-vertex target"
     seen = 0
-    for i, s in enumerate(sets):
-        if not s:
-            return ModelCheck(False, f"branch set {i} is empty")
-        mask = 0
-        for v in s:
-            if not (0 <= v < g.n):
-                return ModelCheck(False, f"branch set {i} leaves the host range")
-            mask |= 1 << v
+    for i, mask in enumerate(masks):
+        if not mask:
+            return f"branch set {i} is empty"
+        # before any iter_bits: it never ends on a negative int
+        if mask < 0 or mask >> g.n:
+            return f"branch set {i} leaves the host range"
         if mask & seen:
-            return ModelCheck(False, f"branch set {i} overlaps an earlier one")
+            return f"branch set {i} overlaps an earlier one"
         seen |= mask
         if not mask_is_connected(g, mask):
-            return ModelCheck(False, f"branch set {i} is not connected")
-        masks.append(mask)
+            return f"branch set {i} is not connected"
     for i, mask in enumerate(masks):
         reach = neighbourhood(g._adj, mask)
         for j in iter_bits(target._adj[i] >> (i + 1) << (i + 1)):
             if not reach & masks[j]:
-                return ModelCheck(False, "no host edge between branch sets", (i, j))
-    return ModelCheck(True)
+                return f"no host edge between branch sets at target edge {(i, j)}"
+    return None
 
 
 def checked_model(host: Graph, model: MinorModel, target: Graph, producer: str) -> MinorModel:
@@ -129,10 +120,9 @@ def checked_model(host: Graph, model: MinorModel, target: Graph, producer: str) 
     Every producer of a model guarantees it, so a failure is a bug in the
     producer: it raises ``ConsistencyError`` naming the producer.
     """
-    check = verify_minor_model(host, model, target)
-    if not check.ok:
-        at = "" if check.pair is None else f" at target edge {check.pair}"
-        raise ConsistencyError(f"{producer} failed verification: {check.reason}{at}")
+    fault = verify_minor_model(host, model, target)
+    if fault is not None:
+        raise ConsistencyError(f"{producer} failed verification: {fault}")
     return model
 
 
@@ -227,11 +217,11 @@ def realize_minor(g: Graph, plan: ContractionPlan) -> MinorModel:
     plus the fixed vertex alone.  Verification failure would falsify the
     construction itself, so it raises instead of returning a bad model.
     """
-    sets = [frozenset(pair) for pair in plan.matching_edges()]
+    masks = [1 << u | 1 << v for u, v in plan.matching_edges()]
     if plan.fixed_vertex is not None:
-        sets.append(frozenset((plan.fixed_vertex,)))
+        masks.append(1 << plan.fixed_vertex)
     return checked_model(
-        g, MinorModel(tuple(sets)), complete_graph((g.n + 1) // 2), "constructed model"
+        g, MinorModel(tuple(masks)), complete_graph((g.n + 1) // 2), "constructed model"
     )
 
 

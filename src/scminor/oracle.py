@@ -42,6 +42,8 @@ class _Budget:
     __slots__ = ("limit", "spent")
 
     def __init__(self, limit: int):
+        if limit <= 0:
+            raise ValueError(f"budget must be positive, got {limit}")
         self.limit = limit
         self.spent = 0
 
@@ -189,11 +191,6 @@ def _general_minor_sets(
     return None if done is None else tuple(done[order.index(i)] for i in range(target.n))
 
 
-def _checked(host: Graph, target: Graph, sets: tuple[int, ...]) -> MinorModel:
-    model = MinorModel(tuple(frozenset(iter_bits(m)) for m in sets))
-    return checked_model(host, model, target, "oracle witness")
-
-
 def has_minor(host: Graph, target: Graph, budget: int = DEFAULT_BUDGET) -> MinorOutcome:
     """Decide whether ``target`` is a minor of ``host`` within ``budget``
     expansions.
@@ -201,11 +198,9 @@ def has_minor(host: Graph, target: Graph, budget: int = DEFAULT_BUDGET) -> Minor
     Every yes comes with a branch-set witness that has been re-verified
     against the minor definition; no means the search space was exhausted.
     """
-    if budget <= 0:
-        raise ValueError(f"budget must be positive, got {budget}")
+    meter = _Budget(budget)
     if target.n > host.n or target.num_edges > host.num_edges:
         return MinorOutcome(NO, None, 0)
-    meter = _Budget(budget)
     try:
         if target.num_edges == target.n * (target.n - 1) // 2:  # complete target
             sets = _clique_minor_sets(host, target.n, meter)
@@ -215,13 +210,12 @@ def has_minor(host: Graph, target: Graph, budget: int = DEFAULT_BUDGET) -> Minor
         return MinorOutcome(BUDGET_EXCEEDED, None, meter.spent)
     if sets is None:
         return MinorOutcome(NO, None, meter.spent)
-    return MinorOutcome(YES, _checked(host, target, sets), meter.spent)
+    model = checked_model(host, MinorModel(sets), target, "oracle witness")
+    return MinorOutcome(YES, model, meter.spent)
 
 
 def hadwiger(g: Graph, budget: int = DEFAULT_BUDGET) -> HadwigerOutcome:
     """Order of the largest complete minor, with a verified witness."""
-    if budget <= 0:
-        raise ValueError(f"budget must be positive, got {budget}")
     meter = _Budget(budget)
     value = 0
     witness: MinorModel | None = None
@@ -230,7 +224,7 @@ def hadwiger(g: Graph, budget: int = DEFAULT_BUDGET) -> HadwigerOutcome:
             sets = _clique_minor_sets(g, k, meter)
             if sets is None:
                 return HadwigerOutcome(value, witness, True, value, meter.spent)
-            witness = _checked(g, complete_graph(k), sets)
+            witness = checked_model(g, MinorModel(sets), complete_graph(k), "oracle witness")
             value = k
         return HadwigerOutcome(value, witness, True, value, meter.spent)
     except _OutOfBudget:

@@ -354,8 +354,7 @@ def _kuratowski_witness(g: Graph, apex: bool) -> CertificateSearch:
         rest = [b for b in branch if b not in part]
         branch = part + rest if len(part) <= len(rest) else rest + part
         name, target = ("K2,3", complete_bipartite(2, 3)) if apex else ("K3,3", complete_bipartite(3, 3))
-    model = MinorModel(tuple(frozenset(iter_bits(sets[b])) for b in branch))
-    checked_model(g, model, target, "Kuratowski witness")
+    model = checked_model(g, MinorModel(tuple(sets[b] for b in branch)), target, "Kuratowski witness")
     return CertificateSearch(CERTIFICATE, name, model)
 
 
@@ -402,7 +401,7 @@ def _complete_certificate(
     """
     name = f"K{order}"
     if model is not None and model.k >= order:
-        prefix = MinorModel(model.branch_sets[:order])
+        prefix = MinorModel(model.masks[:order])
         checked_model(g, prefix, complete_graph(order), "trimmed constructive certificate")
         return CertificateSearch(CERTIFICATE, name, prefix)
     if deleted is not None and len(deleted) <= order - 5:

@@ -383,38 +383,36 @@ def reference_report(g: Graph, apex_range: tuple[int, ...] = (0, 1, 2), budget: 
     return TopologyReport(outer, planar, il, ik, apex)
 
 
-def reference_verify_minor_model(g: Graph, model, target: Graph):
+def reference_verify_minor_model(g: Graph, model, target: Graph) -> str | None:
     """``construction.verify_minor_model`` as it was before each branch set
-    carried one neighbourhood mask: the body is kept verbatim, testing each
-    target edge vertex by vertex over the first set."""
-    from scminor.construction import ModelCheck
-    from scminor.graphs import mask_is_connected
+    carried one neighbourhood mask: the body is kept, testing each target
+    edge vertex by vertex over the first set, with each mask read as its
+    vertices through ``iter_bits`` (so a negative mask never ends)."""
+    from scminor.graphs import iter_bits, mask_is_connected
 
-    sets = model.branch_sets
+    sets = [tuple(iter_bits(m)) for m in model.masks]
     if len(sets) != target.n:
-        return ModelCheck(
-            False, f"{len(sets)} branch sets for a {target.n}-vertex target"
-        )
+        return f"{len(sets)} branch sets for a {target.n}-vertex target"
     masks = []
     seen = 0
     for i, s in enumerate(sets):
         if not s:
-            return ModelCheck(False, f"branch set {i} is empty")
+            return f"branch set {i} is empty"
         mask = 0
         for v in s:
             if not (0 <= v < g.n):
-                return ModelCheck(False, f"branch set {i} leaves the host range")
+                return f"branch set {i} leaves the host range"
             mask |= 1 << v
         if mask & seen:
-            return ModelCheck(False, f"branch set {i} overlaps an earlier one")
+            return f"branch set {i} overlaps an earlier one"
         seen |= mask
         if not mask_is_connected(g, mask):
-            return ModelCheck(False, f"branch set {i} is not connected")
+            return f"branch set {i} is not connected"
         masks.append(mask)
     for i, j in target.edges():
         if not any(g.neighbor_mask(v) & masks[j] for v in sets[i]):
-            return ModelCheck(False, "no host edge between branch sets", (i, j))
-    return ModelCheck(True)
+            return f"no host edge between branch sets at target edge {(i, j)}"
+    return None
 
 
 def reference_write_graph6(g: Graph) -> str:
@@ -542,7 +540,9 @@ def _reference_kuratowski_subgraph(adj: dict[int, set[int]]) -> dict[int, set[in
 def reference_kuratowski_witness(g: Graph, apex: bool):
     """``topology._kuratowski_witness`` as it was before it read adjacency
     masks: the body and its two helpers are kept verbatim, on dict-of-sets
-    copies of the graph (the helpers lose only their docstrings)."""
+    copies of the graph (the helpers lose only their docstrings), except
+    that the branch sets go into the model as masks and the check returns
+    its fault."""
     from scminor.graphs import ConsistencyError, iter_bits
     from scminor.construction import MinorModel, verify_minor_model
     from scminor.generators import complete_bipartite, complete_graph
@@ -573,10 +573,10 @@ def reference_kuratowski_witness(g: Graph, apex: bool):
         rest = [b for b in branch if b not in part]
         branch = part + rest if len(part) <= len(rest) else rest + part
         name, target = ("K2,3", complete_bipartite(2, 3)) if apex else ("K3,3", complete_bipartite(3, 3))
-    model = MinorModel(tuple(frozenset(sets[b]) for b in branch))
-    check = verify_minor_model(g, model, target)
-    if not check.ok:
-        raise ConsistencyError(f"Kuratowski witness failed verification: {check.reason}")
+    model = MinorModel(tuple(sum(1 << v for v in sets[b]) for b in branch))
+    fault = verify_minor_model(g, model, target)
+    if fault is not None:
+        raise ConsistencyError(f"Kuratowski witness failed verification: {fault}")
     return CertificateSearch(CERTIFICATE, name, model)
 
 

@@ -104,11 +104,22 @@ def test_cycle_matching_detects_broken_antimorphism():
         cycle_matching(star, fake, (0, 1, 2, 3))
 
 
-@pytest.mark.parametrize("cycle_function", [choose_generator, cycle_matching, cycle_side_counts])
-def test_every_cycle_function_rejects_a_cycle_of_length_2(cycle_function):
-    # (0 1) is a closed cycle of rho = (0 1)(2 3), but no antimorphism has it
-    with pytest.raises(ValueError, match="^cycle length 2 is not divisible by 4$"):
-        cycle_function(path_graph(4), Permutation([1, 0, 3, 2]), (0, 1))
+_CYCLE_FUNCTIONS = (choose_generator, cycle_matching, cycle_side_counts)
+# (0 1) is a closed cycle of rho = (0 1)(2 3), but no antimorphism has it;
+# vertex 9 would index P4's least antimorphism, (0 1 3 2), past its end
+_BAD_CYCLES = (
+    ("", Permutation([1, 0, 3, 2]), (0, 1), "^cycle length 2 is not divisible by 4$"),
+    ("-vertex-9", Permutation([1, 3, 0, 2]), (9, 1, 2, 3), "^vertex 9 out of range for n=4$"),
+)
+
+
+@pytest.mark.parametrize(
+    ("cycle_function", "rho", "cycle", "message"),
+    [pytest.param(f, *case, id=f.__name__ + suffix) for suffix, *case in _BAD_CYCLES for f in _CYCLE_FUNCTIONS],
+)
+def test_every_cycle_function_rejects_a_cycle_of_length_2(cycle_function, rho, cycle, message):
+    with pytest.raises(ValueError, match=message):
+        cycle_function(path_graph(4), rho, cycle)
 
 
 def test_odd_shift_matching_shift_one_matches_cycle_matching():
@@ -147,8 +158,8 @@ def test_odd_shift_count_on_single_cycle_eight_vertex_graphs():
             except InvalidShiftError:
                 continue
             valid.append(t)
-            model = MinorModel(tuple(frozenset(p) for p in matching))
-            assert verify_minor_model(g, model, k4).ok
+            model = MinorModel(tuple(1 << u | 1 << v for u, v in matching))
+            assert verify_minor_model(g, model, k4) is None
         assert len(valid) == 2
         seen += 1
     assert seen == 16
@@ -193,87 +204,68 @@ def test_build_plan_rejects_non_antimorphism():
 def test_realize_minor_fixed_cases():
     g = path_graph(4)
     model = realize_minor(g, build_plan(g, find_antimorphism(g)))
-    assert model.branch_sets == (frozenset({0, 1}), frozenset({2, 3}))
+    assert model.masks == (0b11, 0b1100)
 
     c5 = cycle_graph(5)
     model5 = realize_minor(c5, build_plan(c5, find_antimorphism(c5)))
-    assert model5.branch_sets == (
-        frozenset({1, 2}),
-        frozenset({3, 4}),
-        frozenset({0}),
-    )
+    assert model5.masks == (0b110, 0b11000, 0b1)
 
 
 def test_realize_minor_agrees_with_oracle_on_sharp_family():
     g = sharp_4n(2)
     model = realize_minor(g, build_plan(g, find_antimorphism(g)))
     assert model.k == 4
-    assert verify_minor_model(g, model, complete_graph(4)).ok
+    assert verify_minor_model(g, model, complete_graph(4)) is None
     assert has_minor(g, complete_graph(4)).answer == "yes"
 
 
 def test_verify_minor_model_negative_cases():
     g = path_graph(4)
     k2 = complete_graph(2)
-    bad = verify_minor_model(g, MinorModel((frozenset({0}), frozenset({2}))), k2)
-    assert not bad.ok and bad.pair == (0, 1)
-
-    overlap = verify_minor_model(
-        g, MinorModel((frozenset({0, 1}), frozenset({1, 2}))), k2
-    )
-    assert not overlap.ok and "overlaps" in overlap.reason
-
-    disconnected = verify_minor_model(
-        g, MinorModel((frozenset({0, 3}), frozenset({1}))), k2
-    )
-    assert not disconnected.ok and "not connected" in disconnected.reason
-
-    wrong_count = verify_minor_model(g, MinorModel((frozenset({0}),)), k2)
-    assert not wrong_count.ok
-
-    empty = verify_minor_model(g, MinorModel((frozenset(), frozenset({1}))), k2)
-    assert not empty.ok and "empty" in empty.reason
-
-    out_of_range = verify_minor_model(
-        g, MinorModel((frozenset({0}), frozenset({9}))), k2
-    )
-    assert not out_of_range.ok and "range" in out_of_range.reason
+    cases = [
+        ((0b1, 0b100), "no host edge between branch sets at target edge (0, 1)"),
+        ((0b11, 0b110), "branch set 1 overlaps an earlier one"),
+        ((0b1001, 0b10), "branch set 0 is not connected"),
+        ((0b1,), "1 branch sets for a 2-vertex target"),
+        ((0, 0b10), "branch set 0 is empty"),
+        ((0b1, 1 << 9), "branch set 1 leaves the host range"),
+        # a bit at g.n, and a negative mask, on which iter_bits never ends
+        ((0b1, 1 << 4), "branch set 1 leaves the host range"),
+        ((-1, 0b10), "branch set 0 leaves the host range"),
+    ]
+    for masks, fault in cases:
+        assert verify_minor_model(g, MinorModel(masks), k2) == fault
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 10), st.integers(0, 5), st.floats(0.0, 1.0), st.randoms(use_true_random=False))
 def test_verify_minor_model_equals_the_vertex_by_vertex_check(n, k, p, rng):
-    """Same verdict, reason and first failing pair as the reference, on
-    random sets: mostly a random partition of the vertices into connected or
-    disconnected pieces, sometimes overlapping, empty or out of range."""
+    """Same fault, or None, as the reference, on random sets: mostly a random
+    partition of the vertices into connected or disconnected pieces,
+    sometimes overlapping, empty or out of range (a mask holds no vertex
+    below 0, so out of range means n or n + 1)."""
     g = random_graph(rng, n, p)
     target = random_graph(rng, k, rng.random())
     owner = [rng.randrange(k + 1) for _ in range(n)]
     sets = [{v for v in range(n) if owner[v] == i} for i in range(k)]
     for s in sets:
         if rng.random() < 0.1:
-            s.add(rng.randrange(-1, n + 2))
+            s.add(rng.randrange(0, n + 2))
     if rng.random() < 0.1:
         sets.append({rng.randrange(n)})
-    model = MinorModel(tuple(frozenset(s) for s in sets))
+    model = MinorModel(tuple(sum(1 << v for v in s) for s in sets))
     assert verify_minor_model(g, model, target) == reference_verify_minor_model(g, model, target)
     # singletons pass every set test, so only a target edge can fail
-    model = MinorModel(tuple(frozenset({v}) for v in range(n)))
+    model = MinorModel(tuple(1 << v for v in range(n)))
     other = random_graph(rng, n, rng.random())
     assert verify_minor_model(g, model, other) == reference_verify_minor_model(g, model, other)
 
 
 def test_verify_minor_model_positive_cases():
     g = path_graph(4)
-    assert verify_minor_model(
-        g, MinorModel((frozenset({0, 1}), frozenset({2, 3}))), complete_graph(2)
-    ).ok
+    assert verify_minor_model(g, MinorModel((0b11, 0b1100)), complete_graph(2)) is None
     c5 = cycle_graph(5)
-    assert verify_minor_model(
-        c5,
-        MinorModel((frozenset({1, 2}), frozenset({3, 4}), frozenset({0}))),
-        complete_graph(3),
-    ).ok
+    assert verify_minor_model(c5, MinorModel((0b110, 0b11000, 0b1)), complete_graph(3)) is None
 
 
 def test_guaranteed_minor_small_and_absent():
@@ -288,12 +280,12 @@ def test_guaranteed_minor_branch_set_shape():
         for g in sc_classes(n):
             model = guaranteed_minor(g)
             assert model is not None and model.k == (n + 1) // 2
-            sizes = sorted(len(s) for s in model.branch_sets)
+            sizes = sorted(m.bit_count() for m in model.masks)
             if n % 4 == 1:
                 assert sizes == [1] + [2] * (model.k - 1)
             else:
                 assert sizes == [2] * model.k
-            assert verify_minor_model(g, model, complete_graph(model.k)).ok
+            assert verify_minor_model(g, model, complete_graph(model.k)) is None
 
 
 def test_fixed_vertex_adjacent_to_exactly_one_endpoint():

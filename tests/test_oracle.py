@@ -57,7 +57,7 @@ def test_every_yes_witness_verifies():
         outcome = has_minor(host, target)
         if outcome.answer == "yes":
             yes_seen += 1
-            assert verify_minor_model(host, outcome.model, target).ok
+            assert verify_minor_model(host, outcome.model, target) is None
             assert outcome.model.k == target.n
     assert yes_seen > 10
 
@@ -69,6 +69,10 @@ def test_budget_exhaustion_is_explicit():
     assert outcome.expansions >= 5
     with pytest.raises(ValueError):
         has_minor(path_graph(4), complete_graph(2), budget=0)
+    # a target larger than the host is a "no" without search, but not before
+    # the budget is checked
+    with pytest.raises(ValueError, match="^budget must be positive, got 0$"):
+        has_minor(path_graph(4), complete_graph(5), budget=0)
 
 
 def test_hadwiger_rejects_a_non_positive_budget():
@@ -90,7 +94,7 @@ def test_hadwiger_fixed_values():
 def test_hadwiger_outcome_shape():
     out = hadwiger(cycle_graph(5))
     assert out.exact and out.upper_bound == 3
-    assert verify_minor_model(cycle_graph(5), out.witness, complete_graph(3)).ok
+    assert verify_minor_model(cycle_graph(5), out.witness, complete_graph(3)) is None
 
     partial = hadwiger(sharp_4n(2), budget=10)
     assert not partial.exact
@@ -132,7 +136,7 @@ def test_witnesses_are_deterministic():
     g = sharp_4n(2)
     a = has_minor(g, complete_graph(4))
     b = has_minor(g, complete_graph(4))
-    assert a.model.branch_sets == b.model.branch_sets
+    assert a.model.masks == b.model.masks
     ha = hadwiger(g)
     hb = hadwiger(g)
-    assert ha.witness.branch_sets == hb.witness.branch_sets
+    assert ha.witness.masks == hb.witness.masks

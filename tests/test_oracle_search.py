@@ -22,6 +22,7 @@ from scminor import (
     sharp_4n,
     sharp_4n_plus_1,
 )
+from scminor.graphs import iter_bits
 from scminor.oracle import _Budget, _clique_minor_sets, _general_minor_sets
 
 from conftest import iso_classes_up_to, reference_clique_minor_sets
@@ -157,7 +158,7 @@ def test_pinned_planarity_target_searches():
         if outcome.model is None:
             assert sets is None
         else:
-            assert tuple(tuple(sorted(b)) for b in outcome.model.branch_sets) == sets
+            assert tuple(tuple(iter_bits(m)) for m in outcome.model.masks) == sets
         if target.num_edges == target.n * (target.n - 1) // 2:
             assert outcome.expansions <= expansions
         else:
