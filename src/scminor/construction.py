@@ -98,7 +98,7 @@ def verify_minor_model(g: Graph, model: MinorModel, target: Graph) -> str | None
     for i, mask in enumerate(masks):
         if not mask:
             return f"branch set {i} is empty"
-        # before any iter_bits: it never ends on a negative int
+        # before any iter_bits, which raises on a negative int
         if mask < 0 or mask >> g.n:
             return f"branch set {i} leaves the host range"
         if mask & seen:

@@ -39,7 +39,9 @@ class ConsistencyError(RuntimeError):
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in increasing order."""
+    """Yield the set bit positions of a non-negative ``mask`` in increasing order."""
+    if mask < 0:  # infinitely many set bits
+        raise ValueError(f"negative mask {mask} has no finite set of bits")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -1,27 +1,27 @@
 """Exact minor containment and Hadwiger numbers by branch and bound.
 
 This is the independent ground truth the constructive certificates are
-checked against, so it favours simplicity over cleverness: branch sets are
-assembled as connected vertex subsets, with complete targets getting a
-specialised anchored search (every candidate branch set must contain the
-least still-available vertex, or that vertex is discarded), which visits
-each branch-set family exactly once.  All work is metered against an
-explicit expansion budget; running out is reported as its own outcome and
-is never silently converted to "no".
+checked against, so it favours simplicity over cleverness.  One anchored
+search serves every target: the least still-available host vertex either
+starts the branch set of an unplaced target vertex, as a connected subset
+of the available vertices, or it is discarded, so each branch-set family
+is visited once.  Complete targets first look for a clique subgraph.  All
+work is metered against an explicit expansion budget; running out is
+reported as its own outcome and is never silently converted to "no".
 
-Every placed branch set B carries its neighbourhood mask N(B) minus B, so
-a disjoint candidate touches B iff it meets that mask.  The complete search
-also prunes by reach: a node with ``need`` sets still to place is dropped
-once some placed B has fewer than ``need`` neighbours in ``avail``.  This
-is sound because the remaining sets are disjoint subsets of ``avail`` and
-each must contain a neighbour of B.  The rule removes only subtrees that
-hold no completion, so the surviving nodes are visited in the same order
-and every answer and witness is unchanged; only the expansion count falls.
+Two sound rules cut the tree.  Twins (N(u) - v == N(v) - u) can trade
+branch sets, so only the least unplaced member of a twin class is tried;
+on K_k all vertices are twins.  Reach: each placed branch set B carries
+N(B) minus B, which a disjoint candidate touches iff it meets it, and a
+node is dropped once some B has fewer neighbours in ``avail`` than its
+target vertex has unplaced target neighbours, whose sets are disjoint
+subsets of ``avail`` that must each contain a neighbour of B.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graphs import Graph, iter_bits, neighbourhood
 from .construction import MinorModel, checked_model
@@ -124,6 +124,56 @@ def _clique_subgraph(g: Graph, k: int, budget: _Budget) -> int | None:
     return extend(0, 0, (1 << g.n) - 1)
 
 
+def _minor_sets(host: Graph, target: Graph, budget: _Budget) -> tuple[int, ...] | None:
+    """Branch-set masks indexed by target vertex, or None."""
+    adj, tadj, t = host._adj, target._adj, target.n
+    # the twins of each target vertex with a lower index
+    lower_twins = [
+        sum(1 << j for j in range(i) if tadj[i] & ~(1 << j) == tadj[j] & ~(1 << i))
+        for i in range(t)
+    ]
+    sets = [0] * t
+    reach = [0] * t  # N(sets[i]) minus sets[i], for each placed i
+
+    # per set of unplaced target vertices: each placed vertex with its count
+    # of unplaced target neighbours, and each vertex to try with the placed
+    # target neighbours its branch set must touch (4096 plans hold every set
+    # for targets up to 12 vertices)
+    @lru_cache(maxsize=1 << 12)
+    def plan(unplaced: int):
+        placed = [i for i in range(t) if not unplaced >> i & 1]
+        checks = tuple((i, (tadj[i] & unplaced).bit_count()) for i in placed)
+        tries = tuple(
+            (i, tuple(j for j in placed if tadj[i] >> j & 1))
+            for i in iter_bits(unplaced)
+            if not lower_twins[i] & unplaced
+        )
+        return checks, tries
+
+    def place(unplaced: int, avail: int) -> bool:
+        budget.spend()
+        need = unplaced.bit_count()
+        if need == 0:
+            return True
+        if avail.bit_count() < need:
+            return False
+        checks, tries = plan(unplaced)
+        for i, r in checks:
+            if (reach[i] & avail).bit_count() < r:
+                return False
+        anchor = (avail & -avail).bit_length() - 1
+        limit = avail.bit_count() - (need - 1)
+        for cand in _connected_sets(adj, anchor, avail, limit, budget):
+            for i, required in tries:
+                if all(reach[j] & cand for j in required):
+                    sets[i], reach[i] = cand, neighbourhood(adj, cand)
+                    if place(unplaced & ~(1 << i), avail & ~cand):
+                        return True
+        return place(unplaced, avail & ~(1 << anchor))
+
+    return tuple(sets) if place((1 << t) - 1, (1 << host.n) - 1) else None
+
+
 def _clique_minor_sets(g: Graph, k: int, budget: _Budget) -> tuple[int, ...] | None:
     """Branch-set masks for a complete minor of order k, or None."""
     if k == 0:
@@ -133,69 +183,15 @@ def _clique_minor_sets(g: Graph, k: int, budget: _Budget) -> tuple[int, ...] | N
     clique = _clique_subgraph(g, k, budget)
     if clique is not None:
         return tuple(1 << v for v in iter_bits(clique))
-    adj = g._adj
-
-    def place(done: tuple[int, ...], reach: tuple[int, ...], avail: int):
-        budget.spend()
-        need = k - len(done)
-        if need == 0:
-            return done
-        if avail.bit_count() < need:
-            return None
-        for nb in reach:
-            if (nb & avail).bit_count() < need:
-                return None
-        anchor = (avail & -avail).bit_length() - 1
-        limit = avail.bit_count() - (need - 1)
-        for cand in _connected_sets(adj, anchor, avail, limit, budget):
-            if all(nb & cand for nb in reach):
-                found = place(
-                    done + (cand,),
-                    reach + (neighbourhood(adj, cand),),
-                    avail & ~cand,
-                )
-                if found is not None:
-                    return found
-        return place(done, reach, avail & ~(1 << anchor))
-
-    return place((), (), (1 << g.n) - 1)
-
-
-def _general_minor_sets(
-    host: Graph, target: Graph, budget: _Budget
-) -> tuple[int, ...] | None:
-    """Branch-set masks indexed by target vertex, for an arbitrary target."""
-    tadj = target._adj
-    order = sorted(range(target.n), key=lambda i: (-tadj[i].bit_count(), i))
-    adj = host._adj
-
-    def place(done: tuple[int, ...], reach: tuple[int, ...], avail: int):
-        budget.spend()
-        pos = len(done)
-        if pos == target.n:
-            return done
-        tv = order[pos]
-        required = [reach[i] for i in range(pos) if tadj[tv] >> order[i] & 1]
-        limit = avail.bit_count() - (target.n - pos - 1)
-        for v in iter_bits(avail):
-            region = avail & ~((1 << v) - 1)
-            for cand in _connected_sets(adj, v, region, limit, budget):
-                if all(nb & cand for nb in required):
-                    nb = neighbourhood(adj, cand)
-                    found = place(done + (cand,), reach + (nb,), avail & ~cand)
-                    if found is not None:
-                        return found
-        return None
-
-    done = place((), (), (1 << host.n) - 1)
-    return None if done is None else tuple(done[order.index(i)] for i in range(target.n))
+    return _minor_sets(g, complete_graph(k), budget)
 
 
 def has_minor(host: Graph, target: Graph, budget: int = DEFAULT_BUDGET) -> MinorOutcome:
     """Decide whether ``target`` is a minor of ``host`` within ``budget``
     expansions.
 
-    Every yes comes with a branch-set witness that has been re-verified
+    One anchored search, with the module's twin and reach rules, serves
+    every target.  Every yes comes with a branch-set witness re-verified
     against the minor definition; no means the search space was exhausted.
     """
     meter = _Budget(budget)
@@ -205,7 +201,7 @@ def has_minor(host: Graph, target: Graph, budget: int = DEFAULT_BUDGET) -> Minor
         if target.num_edges == target.n * (target.n - 1) // 2:  # complete target
             sets = _clique_minor_sets(host, target.n, meter)
         else:
-            sets = _general_minor_sets(host, target, meter)
+            sets = _minor_sets(host, target, meter)
     except _OutOfBudget:
         return MinorOutcome(BUDGET_EXCEEDED, None, meter.spent)
     if sets is None:

@@ -335,6 +335,43 @@ def reference_clique_minor_sets(g: Graph, k: int, budget) -> tuple[int, ...] | N
     return place((), (1 << g.n) - 1)
 
 
+def reference_general_minor_sets(host: Graph, target: Graph, budget) -> tuple[int, ...] | None:
+    """``oracle._general_minor_sets`` as it was before one anchored search
+    served every target.
+
+    The body is kept verbatim: target vertices are placed by falling degree,
+    each from every start vertex, with no twin or reach rule. It is the
+    reference that the anchored search's answers are checked against.
+    """
+    from scminor.graphs import iter_bits, neighbourhood
+    from scminor.oracle import _connected_sets
+
+    tadj = target._adj
+    order = sorted(range(target.n), key=lambda i: (-tadj[i].bit_count(), i))
+    adj = host._adj
+
+    def place(done: tuple[int, ...], reach: tuple[int, ...], avail: int):
+        budget.spend()
+        pos = len(done)
+        if pos == target.n:
+            return done
+        tv = order[pos]
+        required = [reach[i] for i in range(pos) if tadj[tv] >> order[i] & 1]
+        limit = avail.bit_count() - (target.n - pos - 1)
+        for v in iter_bits(avail):
+            region = avail & ~((1 << v) - 1)
+            for cand in _connected_sets(adj, v, region, limit, budget):
+                if all(nb & cand for nb in required):
+                    nb = neighbourhood(adj, cand)
+                    found = place(done + (cand,), reach + (nb,), avail & ~cand)
+                    if found is not None:
+                        return found
+        return None
+
+    done = place((), (), (1 << host.n) - 1)
+    return None if done is None else tuple(done[order.index(i)] for i in range(target.n))
+
+
 def reference_report(g: Graph, apex_range: tuple[int, ...] = (0, 1, 2), budget: int = 10**8):
     """``topology.report`` as it was before the apex search came first.
 
@@ -387,7 +424,7 @@ def reference_verify_minor_model(g: Graph, model, target: Graph) -> str | None:
     """``construction.verify_minor_model`` as it was before each branch set
     carried one neighbourhood mask: the body is kept, testing each target
     edge vertex by vertex over the first set, with each mask read as its
-    vertices through ``iter_bits`` (so a negative mask never ends)."""
+    vertices through ``iter_bits`` (so a negative mask raises)."""
     from scminor.graphs import iter_bits, mask_is_connected
 
     sets = [tuple(iter_bits(m)) for m in model.masks]

@@ -229,7 +229,7 @@ def test_verify_minor_model_negative_cases():
         ((0b1,), "1 branch sets for a 2-vertex target"),
         ((0, 0b10), "branch set 0 is empty"),
         ((0b1, 1 << 9), "branch set 1 leaves the host range"),
-        # a bit at g.n, and a negative mask, on which iter_bits never ends
+        # a bit at g.n, and a negative mask, on which iter_bits raises
         ((0b1, 1 << 4), "branch set 1 leaves the host range"),
         ((-1, 0b10), "branch set 0 leaves the host range"),
     ]

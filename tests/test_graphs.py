@@ -8,6 +8,7 @@ from scminor import (
     CapacityError,
     Graph,
     Graph6Error,
+    MinorModel,
     canonical_form,
     complement,
     complete_graph,
@@ -18,6 +19,7 @@ from scminor import (
     random_sc,
     write_graph6,
 )
+from scminor.graphs import iter_bits, neighbourhood
 from conftest import (
     all_labeled_graphs,
     are_isomorphic,
@@ -40,6 +42,17 @@ def test_construction_rejects_bad_input():
         Graph(-1)
     with pytest.raises(CapacityError):
         Graph(65)
+
+
+def test_iter_bits_rejects_a_negative_mask():
+    # a negative int has infinitely many set bits; the loop must not start
+    assert list(iter_bits(0b10110)) == [1, 2, 4]
+    with pytest.raises(ValueError, match="negative mask -1"):
+        next(iter_bits(-1))
+    with pytest.raises(ValueError):
+        MinorModel((-1,)).to_json()
+    with pytest.raises(ValueError):
+        neighbourhood(path_graph(3)._adj, -1)
 
 
 def test_basic_queries():
