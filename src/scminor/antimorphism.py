@@ -9,6 +9,7 @@ a single fixed point exactly when n = 4k + 1).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -16,12 +17,12 @@ from .graphs import ConsistencyError, Graph, iter_bits
 
 
 class Permutation:
-    """Bijection on 0..n-1 stored as its image array."""
+    """Bijection on 0..n-1 stored as its image array of ints (``operator.index``)."""
 
     __slots__ = ("image",)
 
     def __init__(self, image: Sequence[int]):
-        img = tuple(image)
+        img = tuple(map(operator.index, image))
         if sorted(img) != list(range(len(img))):
             raise ValueError(f"{img!r} is not a bijection on 0..{len(img) - 1}")
         self.image = img
@@ -163,35 +164,43 @@ def _least_antimorphism(adj: Sequence[int]) -> list[int] | None:
     skipped at once.  Candidates are tried in ascending order; forward
     checking removes only candidates that no completion could use, so the
     first full assignment is the least one.
+
+    One integer holds every domain: row u is bits u*W .. u*W+n-1, W = n+1,
+    with the top bit kept 0.  ``near`` holds bit u*W iff u ~ v (column v of
+    the symmetric row-packed adjacency), so ``near * nonadj[w] | far * adj[w]``
+    narrows every row in one AND (rows up to v too, never read again).
+    Adding 2^n - 1 to each row carries into its top bit iff the row is
+    nonempty, so one addition tests every later domain.
     """
     n = len(adj)
+    width = n + 1
     full = (1 << n) - 1
     nonadj = [full & ~(a | (1 << w)) for w, a in enumerate(adj)]
     by_degree: dict[int, int] = {}
     for w, a in enumerate(adj):
         d = a.bit_count()
         by_degree[d] = by_degree.get(d, 0) | (1 << w)
-    domains = [by_degree.get(n - 1 - a.bit_count(), 0) for a in adj]
-    # later[v][i] is 1 iff v ~ v+1+i: which mask filters that vertex's domain.
-    later = [[(adj[v] >> u) & 1 for u in range(v + 1, n)] for v in range(n)]
+    ones = sum(1 << u * width for u in range(n))
+    matrix = sum(a << u * width for u, a in enumerate(adj))
+    domains = sum(by_degree.get(n - 1 - a.bit_count(), 0) << u * width for u, a in enumerate(adj))
+    fill = ones * full
     image = [0] * n
 
-    def assign(v: int, doms: list[int]) -> bool:
-        # doms[i] is the domain of vertex v + i.
-        cand = doms[0]
-        rest = doms[1:]
-        flags = later[v]
+    def assign(v: int, doms: int) -> bool:
+        cand = doms >> v * width & full
+        near = matrix >> v & ones
+        far = ones ^ near
+        # the top bits of rows v+1 .. n-1
+        later = ones >> (v + 1) * width << (v + 1) * width + n
         while cand:
             low = cand & -cand
             cand ^= low
             w = low.bit_length() - 1
             image[v] = w
-            if not rest:
+            if v == n - 1:
                 return True
-            aw = adj[w]
-            nw = nonadj[w]
-            nxt = [d & (nw if f else aw) for d, f in zip(rest, flags)]
-            if 0 not in nxt and assign(v + 1, nxt):
+            nxt = doms & (near * nonadj[w] | far * adj[w])
+            if (nxt + fill) & later == later and assign(v + 1, nxt):
                 return True
         return False
 
@@ -210,7 +219,8 @@ def find_antimorphism(g: Graph) -> Permutation | None:
     so every self-complementary graph passes, and a mismatch proves g is
     not one.  The tests only decide whether the search runs, never what it
     returns, so the answer is the least image array of
-    ``_least_antimorphism`` whenever it runs.
+    ``_least_antimorphism`` whenever it runs: one integer holds every
+    domain as a row, narrowed by one AND and tested by one addition.
     """
     n = g.n
     if n % 4 in (2, 3):

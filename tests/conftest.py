@@ -4,13 +4,16 @@ The checkers here deliberately avoid the library's own search machinery:
 isomorphism and the least antimorphism are fresh backtracking searches
 without forward checking, and the reference Hadwiger number enumerates
 every partition of every vertex subset with no pruning, so agreement with
-the library is meaningful evidence.
+the library is meaningful evidence.  Code the library replaced is kept
+here verbatim as ``reference_*`` functions, so the new code is checked
+against the old on inputs too large for the plain references.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import combinations
 from math import factorial, prod
@@ -118,6 +121,56 @@ def reference_antimorphism(g: Graph) -> tuple[int, ...] | None:
         return False
 
     return tuple(image) if assign(0) else None
+
+
+def reference_forward_checking_antimorphism(adj: Sequence[int]) -> list[int] | None:
+    """``antimorphism._least_antimorphism`` as it was before its domains were
+    packed into one integer: the body is kept verbatim, with one bitmask
+    domain per later vertex in a list, each narrowed by its own AND and
+    tested for emptiness by ``0 not in``.
+
+    Backtracks over image assignments in vertex order 0..n-1, keeping for
+    every unassigned vertex a bitmask domain of the images still possible.
+    A vertex v starts with the vertices of degree n-1-deg(v).  Assigning
+    v -> w forward-checks every later u: its domain keeps only non-neighbours
+    of w if u ~ v, and only neighbours of w otherwise.  Neither mask holds w,
+    so the images stay distinct, and a candidate that empties some domain is
+    skipped at once.  Candidates are tried in ascending order; forward
+    checking removes only candidates that no completion could use, so the
+    first full assignment is the least one.
+    """
+    n = len(adj)
+    full = (1 << n) - 1
+    nonadj = [full & ~(a | (1 << w)) for w, a in enumerate(adj)]
+    by_degree: dict[int, int] = {}
+    for w, a in enumerate(adj):
+        d = a.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | (1 << w)
+    domains = [by_degree.get(n - 1 - a.bit_count(), 0) for a in adj]
+    # later[v][i] is 1 iff v ~ v+1+i: which mask filters that vertex's domain.
+    later = [[(adj[v] >> u) & 1 for u in range(v + 1, n)] for v in range(n)]
+    image = [0] * n
+
+    def assign(v: int, doms: list[int]) -> bool:
+        # doms[i] is the domain of vertex v + i.
+        cand = doms[0]
+        rest = doms[1:]
+        flags = later[v]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            w = low.bit_length() - 1
+            image[v] = w
+            if not rest:
+                return True
+            aw = adj[w]
+            nw = nonadj[w]
+            nxt = [d & (nw if f else aw) for d, f in zip(rest, flags)]
+            if 0 not in nxt and assign(v + 1, nxt):
+                return True
+        return False
+
+    return image if assign(0, domains) else None
 
 
 def reference_enumerate_sc(n: int) -> list[Graph]:

@@ -35,6 +35,15 @@ def test_permutation_basics():
         Permutation([0, 0, 1])
 
 
+def test_permutation_entries_are_plain_ints():
+    p = Permutation([True, False])
+    assert p.image == (1, 0) and all(type(v) is int for v in p.image)
+    assert p.cycle_notation() == "(0 1)"
+    assert repr(p) == "Permutation([1, 0])"
+    with pytest.raises(TypeError):
+        Permutation([1.0, 0.0])
+
+
 def test_cycle_decomposition_ordering():
     dec = cycle_decomposition(Permutation(range(5)))
     assert dec.cycles == () and dec.fixed_points == (0, 1, 2, 3, 4)

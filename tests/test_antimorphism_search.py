@@ -1,9 +1,13 @@
-"""The antimorphism search against a plain backtracking reference.
+"""The antimorphism search against two references in conftest.
 
-``find_antimorphism`` narrows bitmask domains ahead of the assignment; the
-reference in conftest checks each candidate only against earlier vertices.
-Both try candidates in ascending order, so they must return the same least
-image array, on SC graphs and on graphs that pass every cheap filter.
+``find_antimorphism`` narrows bitmask domains ahead of the assignment, with
+every domain a row of one packed integer.  ``reference_antimorphism`` checks
+each candidate only against earlier vertices, too slowly for use past
+``REFERENCE_CAP`` vertices; ``reference_forward_checking_antimorphism`` is
+the list-domain search that the packed one replaced, fast at every size up
+to 64.  All three try candidates in ascending order, so they must return
+the same least image array, on SC graphs and on graphs that pass every cheap
+filter.
 """
 
 import random
@@ -21,9 +25,9 @@ from scminor import (
     parse_graph6,
     random_sc,
 )
-from scminor.antimorphism import _pair_profiles_match
+from scminor.antimorphism import _least_antimorphism, _pair_profiles_match
 
-from conftest import reference_antimorphism
+from conftest import reference_antimorphism, reference_forward_checking_antimorphism
 
 FEW = settings(max_examples=25, deadline=None)
 MANY = settings(max_examples=100, deadline=None)
@@ -184,6 +188,7 @@ def assert_passes_the_filter(g: Graph) -> None:
     assert _pair_profiles_match(g._adj)
     rho = find_antimorphism(g)
     assert rho is not None and is_antimorphism(g, rho)
+    assert list(rho.image) == reference_forward_checking_antimorphism(g._adj)
     if g.n <= REFERENCE_CAP:
         assert rho.image == reference_antimorphism(g)
 
@@ -249,6 +254,8 @@ def test_search_refutes_non_sc_graphs_that_pass_the_filter(text):
     assert 4 * g.num_edges == g.n * (g.n - 1)
     assert _pair_profiles_match(g._adj)
     assert reference_antimorphism(g) is None
+    assert reference_forward_checking_antimorphism(g._adj) is None
+    assert _least_antimorphism(g._adj) is None
     assert find_antimorphism(g) is None
 
 
@@ -285,3 +292,32 @@ def test_order_61_non_sc_circulant_is_refuted_by_the_filter(monkeypatch):
     assert not searches
     assert find_antimorphism(shuffled(paley(61), 61)) is not None
     assert len(searches) == 1
+
+
+# The packed search against the list-domain search it replaced, called
+# directly: the filter-passing families above compare the two through
+# ``assert_passes_the_filter``, at every order up to 61.
+
+
+@MANY
+@given(st.sampled_from(SMALL_SIZES), st.randoms(use_true_random=False))
+def test_packed_search_at_the_sc_edge_count(n, rng):
+    """Most of these graphs fail the pair-profile filter, so the search is
+    called directly: it must refute them as the list-domain search does."""
+    g = Graph(n, rng.sample(list(combinations(range(n), 2)), n * (n - 1) // 4))
+    for h in (g, complement(g)):
+        assert _least_antimorphism(h._adj) == reference_forward_checking_antimorphism(h._adj)
+
+
+# The ends of the packed layout: n = 4 with 5-bit rows, and n = 64
+# (MAX_VERTICES) with 65-bit rows.
+
+
+@pytest.mark.parametrize("n, seed", [(4, 0), (4, 1), (64, 0), (64, 1), (64, 2)])
+def test_packed_search_at_the_ends_of_the_layout(n, seed):
+    g = shuffled(random_sc(n, seed), seed)
+    for h in (g, complement(g)):
+        rho = find_antimorphism(h)
+        assert rho is not None and is_antimorphism(h, rho)
+        assert list(rho.image) == reference_forward_checking_antimorphism(h._adj)
+    assert find_antimorphism(complement(g)) == find_antimorphism(g)
