@@ -14,6 +14,7 @@ returned model is a machine-checked certificate rather than a trusted proof.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -56,10 +57,7 @@ class ContractionPlan:
     fixed_vertex: int | None
 
     def matching_edges(self) -> list[tuple[int, int]]:
-        out: list[tuple[int, int]] = []
-        for part in self.per_cycle:
-            out.extend(part.matching)
-        return out
+        return [edge for part in self.per_cycle for edge in part.matching]
 
 
 @dataclass(frozen=True)
@@ -70,6 +68,9 @@ class MinorModel:
     """
 
     masks: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "masks", tuple(map(operator.index, self.masks)))
 
     @property
     def k(self) -> int:
@@ -162,8 +163,7 @@ def cycle_matching(
     g: Graph, rho: Permutation, cycle: Sequence[int]
 ) -> tuple[tuple[int, int], ...]:
     """The 2m contraction edges {rho^(2i)(a), rho^(2i+1)(a)} of a 4m-cycle."""
-    cyc = _validate_cycle(rho, cycle)
-    return _shift_pairs(g, rho.orbit(choose_generator(g, rho, cyc)), 1)
+    return _shift_pairs(g, rho.orbit(choose_generator(g, rho, cycle)), 1)
 
 
 def odd_shift_matching(
@@ -171,16 +171,14 @@ def odd_shift_matching(
 ) -> tuple[tuple[int, int], ...]:
     """Perfect matching {rho^(2i)(a), rho^(2i+shift)(a)} for a single-cycle rho.
 
-    Only defined when rho is one cycle through every vertex.  Any odd shift t
-    with {a, rho^t(a)} an edge works, and there are exactly n/4 such shifts;
-    shift 1 reproduces :func:`cycle_matching`.
+    Only defined when rho is one cycle, of a length the cycle validator
+    accepts, through every vertex.  Any odd shift t with {a, rho^t(a)} an
+    edge works, and there are exactly n/4 such shifts; shift 1 is :func:`cycle_matching`.
     """
     n = g.n
     dec = cycle_decomposition(rho)
     if dec.fixed_points or len(dec.cycles) != 1 or rho.n != n:
         raise ValueError("permutation must be a single cycle over all vertices")
-    if n % 4 != 0:
-        raise ValueError(f"host must have n = 4k vertices, got {n}")
     if shift % 2 == 0 or not 1 <= shift <= n - 1:
         raise ValueError(f"shift must be odd and in 1..{n - 1}, got {shift}")
     a = choose_generator(g, rho, dec.cycles[0])
@@ -221,7 +219,7 @@ def realize_minor(g: Graph, plan: ContractionPlan) -> MinorModel:
     if plan.fixed_vertex is not None:
         masks.append(1 << plan.fixed_vertex)
     return checked_model(
-        g, MinorModel(tuple(masks)), complete_graph((g.n + 1) // 2), "constructed model"
+        g, MinorModel(masks), complete_graph((g.n + 1) // 2), "constructed model"
     )
 
 

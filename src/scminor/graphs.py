@@ -174,9 +174,7 @@ def neighbourhood(adj: Sequence[int], mask: int) -> int:
 
 
 def mask_is_connected(g: Graph, mask: int) -> bool:
-    """True iff the vertices of ``mask`` induce a connected nonempty subgraph."""
-    if mask == 0:
-        return False
+    """True iff the vertices of the nonempty ``mask`` induce a connected subgraph."""
     reach = mask & -mask
     while True:
         grown = reach

@@ -78,7 +78,8 @@ class HadwigerOutcome:
 
 
 def _connected_sets(adj, anchor: int, region: int, max_size: int, budget: _Budget):
-    """All connected subsets of ``region`` containing ``anchor``, each once."""
+    """All connected subsets of ``region`` containing ``anchor``, each once,
+    of at most ``max_size >= 1`` vertices; ``anchor`` must lie in ``region``."""
 
     def grow(current: int, size: int, cand: int, banned: int):
         budget.spend()
@@ -96,8 +97,6 @@ def _connected_sets(adj, anchor: int, region: int, max_size: int, budget: _Budge
             banned |= low
 
     start = 1 << anchor
-    if max_size < 1 or not region & start:
-        return
     yield from grow(start, 1, adj[anchor] & region & ~start, 0)
 
 
@@ -219,9 +218,9 @@ def hadwiger(g: Graph, budget: int = DEFAULT_BUDGET) -> HadwigerOutcome:
         for k in range(1, g.n + 1):
             sets = _clique_minor_sets(g, k, meter)
             if sets is None:
-                return HadwigerOutcome(value, witness, True, value, meter.spent)
+                break
             witness = checked_model(g, MinorModel(sets), complete_graph(k), "oracle witness")
             value = k
-        return HadwigerOutcome(value, witness, True, value, meter.spent)
     except _OutOfBudget:
         return HadwigerOutcome(value, witness, False, g.n, meter.spent)
+    return HadwigerOutcome(value, witness, True, value, meter.spent)

@@ -493,26 +493,21 @@ def report(
     IL/IK certificates are the model's first 6 and 7 branch sets where it
     has that many.  A verified K_t model with t >= 5 + j proves that g is
     not j-apex: deleting j vertices removes at most j branch sets, so a K5
-    minor survives.  What is left is answered by one apex search at the
-    largest open j: its deletion set is a smallest one, so it answers every
-    smaller j too.  The search runs before any oracle certificate, and the
-    same argument turns it around: a deletion set of at most 1 (resp. 2)
-    vertices means no K6 (resp. K7) minor, answered none found.  The oracle
-    runs only for the orders that the model and the deletion set leave open.
+    minor survives.  One ``is_n_apex`` call at the largest open j (j = 0, a
+    planarity test, if none is open) answers planarity and every open j: its
+    deletion set is a smallest one.  The search runs before any oracle
+    certificate, and the same argument turns it around: a deletion set of at
+    most 1 (resp. 2) vertices means no K6 (resp. K7) minor, answered none
+    found.  The oracle runs only for the orders the model and the set leave open.
     """
     for j in apex_range:
         _check_apex_parameter(j)
     outer = is_outerplanar(g)
     model = _constructive_model(g, 6)
     t = 0 if model is None else model.k
-    top = max((j for j in apex_range if t < 5 + j), default=None)
-    if top is None:
-        planar = is_planar(g)
-        deleted = frozenset() if planar else None
-    else:
-        # the search tests g itself first, so it answers planarity too
-        _, deleted = is_n_apex(g, top)
-        planar = deleted == frozenset()
+    # the search tests g itself first, so it answers planarity too
+    _, deleted = is_n_apex(g, max((j for j in apex_range if t < 5 + j), default=0))
+    planar = deleted == frozenset()
     apex = {j: t < 5 + j and deleted is not None and len(deleted) <= j for j in apex_range}
     il = _complete_certificate(g, 6, budget, model, deleted)
     ik = _complete_certificate(g, 7, budget, model, deleted)

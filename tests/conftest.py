@@ -344,6 +344,83 @@ def reference_hadwiger(g: Graph) -> int:
     return best
 
 
+def milp_clique_minor(g: Graph, k: int) -> tuple[int, ...] | None:
+    """Branch-set masks of a K_k minor of g found by a 0/1 program, or None.
+
+    An exact oracle that shares nothing with the branch-set search: it is
+    solved by ``scipy.optimize.milp`` (HiGHS).  The variables are
+    - membership x[v, i]: vertex v lies in branch set i, at most one set each;
+    - a root r[v, i]: the least member of set i, one per set, with the roots
+      increasing in i (this breaks the symmetry between sets);
+    - a single-commodity flow f[u, v, i] inside set i: every non-root member
+      takes in one unit net, on edges with both ends in the set, so the set
+      is connected;
+    - e[u, v, i, j]: host edge (u, v) joins sets i < j, at least one per pair.
+    The answer is a floating-point solver's, so a None is agreement with the
+    library's refutation, not a certificate of one.
+    """
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    n = g.n
+    arcs = [(u, v) for u in range(n) for v in g.neighbors(u)]
+    pairs = list(combinations(range(k), 2))
+    x = lambda v, i: v * k + i
+    r = lambda v, i: n * k + v * k + i
+    f = lambda a, i: 2 * n * k + a * k + i
+    e = lambda a, p: 2 * n * k + len(arcs) * k + a * len(pairs) + p
+    size = e(len(arcs), 0)
+    rows, cols, vals, lower, upper = [], [], [], [], []
+
+    def row(terms, lo, hi):
+        for col, val in terms:
+            rows.append(len(lower))
+            cols.append(col)
+            vals.append(val)
+        lower.append(lo)
+        upper.append(hi)
+
+    for v in range(n):
+        row([(x(v, i), 1) for i in range(k)], 0, 1)
+    for i in range(k):
+        row([(r(v, i), 1) for v in range(n)], 1, 1)
+        for v in range(n):
+            row([(r(v, i), 1), (x(v, i), -1)], -np.inf, 0)
+            for u in range(v):
+                row([(r(v, i), 1), (x(u, i), 1)], -np.inf, 1)
+            inflow = [(f(a, i), 1) for a, (_, w) in enumerate(arcs) if w == v]
+            outflow = [(f(a, i), -1) for a, (w, _) in enumerate(arcs) if w == v]
+            row(inflow + outflow + [(x(v, i), -1), (r(v, i), n)], 0, np.inf)
+        for a, (u, v) in enumerate(arcs):
+            row([(f(a, i), 1), (x(u, i), 1 - n)], -np.inf, 0)
+            row([(f(a, i), 1), (x(v, i), 1 - n)], -np.inf, 0)
+    for i in range(k - 1):
+        row([(r(v, i), v) for v in range(n)] + [(r(v, i + 1), -v) for v in range(n)], -np.inf, -1)
+    for p, (i, j) in enumerate(pairs):
+        row([(e(a, p), 1) for a in range(len(arcs))], 1, np.inf)
+        for a, (u, v) in enumerate(arcs):
+            row([(e(a, p), 1), (x(u, i), -1)], -np.inf, 0)
+            row([(e(a, p), 1), (x(v, j), -1)], -np.inf, 0)
+    matrix = coo_array((vals, (rows, cols)), shape=(len(lower), size))
+    integral = np.zeros(size)
+    integral[: 2 * n * k] = 1
+    upper_bounds = np.full(size, np.inf)
+    upper_bounds[: 2 * n * k] = 1
+    result = milp(
+        np.zeros(size),
+        integrality=integral,
+        bounds=Bounds(0, upper_bounds),
+        constraints=LinearConstraint(matrix.tocsr(), lower, upper),
+    )
+    if result.status == 2:  # infeasible
+        return None
+    assert result.status == 0, result.message
+    return tuple(
+        sum(1 << v for v in range(n) if result.x[x(v, i)] > 0.5) for i in range(k)
+    )
+
+
 def reference_clique_minor_sets(g: Graph, k: int, budget) -> tuple[int, ...] | None:
     """``oracle._clique_minor_sets`` as it was before the neighbourhood-reach rule.
 

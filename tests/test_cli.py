@@ -230,6 +230,16 @@ def test_gen_builds_each_graph_when_its_line_is_due(monkeypatch):
     assert log == ["build", "line"] * 3
 
 
+def test_a_closed_stdout_ends_the_run_with_exit_code_0(monkeypatch):
+    # as when the reader of `gen ... | head -1` has gone
+    class ClosedStdout(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert main(["gen", "--random", "--n", "8", "--count", "3"]) == 0
+
+
 def test_gen_random_deterministic(monkeypatch, capsys):
     args = ["gen", "--random", "--n", "12", "--count", "3", "--seed", "7"]
     code, out1, _ = run_cli(args, "", monkeypatch, capsys)
@@ -447,7 +457,8 @@ def test_topo_apex_3_on_a_61_vertex_sc_graph_needs_no_apex_search(monkeypatch, c
     )
     assert code == 0
     assert json.loads(out)["apex_numbers"] == {str(j): False for j in range(4)}
-    assert calls == []
+    # the one call is the planarity test at j = 0: no deletion set is searched
+    assert calls == [0]
 
 
 def test_topo_settles_k6_and_k7_on_an_apex_host_above_the_oracle_cap(monkeypatch, capsys):

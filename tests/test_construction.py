@@ -64,6 +64,12 @@ def test_choose_generator_rejects_open_cycle():
         choose_generator(g, rho, (0, 1, 2, 3))
 
 
+def test_choose_generator_raises_when_no_cycle_vertex_neighbours_its_image():
+    rho = Permutation([1, 2, 3, 0])
+    with pytest.raises(ConsistencyError, match="cannot be an antimorphism"):
+        choose_generator(Graph(4), rho, (0, 1, 2, 3))
+
+
 def test_cycle_matching_fixed_cases():
     g = path_graph(4)
     rho, cycles = _rho_and_cycles(g)
@@ -110,6 +116,7 @@ _CYCLE_FUNCTIONS = (choose_generator, cycle_matching, cycle_side_counts)
 _BAD_CYCLES = (
     ("", Permutation([1, 0, 3, 2]), (0, 1), "^cycle length 2 is not divisible by 4$"),
     ("-vertex-9", Permutation([1, 3, 0, 2]), (9, 1, 2, 3), "^vertex 9 out of range for n=4$"),
+    ("-empty", Permutation([1, 0, 3, 2]), (), "^empty cycle$"),
 )
 
 
@@ -140,6 +147,9 @@ def test_odd_shift_matching_validation():
     c5 = cycle_graph(5)
     with pytest.raises(ValueError):
         odd_shift_matching(c5, find_antimorphism(c5), 1)  # has a fixed point
+    # one cycle through all 6 vertices: the cycle validator's length rule
+    with pytest.raises(ValueError, match="^cycle length 6 is not divisible by 4$"):
+        odd_shift_matching(cycle_graph(6), Permutation([1, 2, 3, 4, 5, 0]), 1)
 
 
 def test_odd_shift_count_on_single_cycle_eight_vertex_graphs():
@@ -306,3 +316,12 @@ def test_model_json_shape():
 
     data = json.loads(model.to_json())
     assert data == {"k": 3, "branch_sets": [[1, 2], [3, 4], [0]]}
+
+
+def test_minor_model_holds_its_masks_as_a_tuple_of_ints():
+    with pytest.raises(TypeError):
+        MinorModel((1.0, 2, 4))
+    model = MinorModel([True, 2])
+    assert model.masks == (1, 2) and [type(m) for m in model.masks] == [int, int]
+    assert hash(model) == hash(MinorModel((1, 2)))
+    assert model.to_json_dict() == {"k": 2, "branch_sets": [[0], [1]]}

@@ -81,6 +81,8 @@ def test_sharp_4n_structure():
 
 def test_sharp_4n_plus_1_structure():
     assert sharp_4n_plus_1(0) == Graph(1)
+    with pytest.raises(ValueError, match="must be >= 0, got -1"):
+        sharp_4n_plus_1(-1)
     g = sharp_4n_plus_1(1)
     assert g.n == 5 and g.num_edges == 5
     assert find_antimorphism(g) is not None

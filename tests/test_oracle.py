@@ -4,6 +4,7 @@ import pytest
 
 from scminor import (
     Graph,
+    MinorModel,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -15,7 +16,7 @@ from scminor import (
     sharp_4n_plus_1,
     verify_minor_model,
 )
-from conftest import iso_classes_up_to, random_graph, reference_hadwiger
+from conftest import iso_classes_up_to, milp_clique_minor, random_graph, reference_hadwiger, sc_classes
 
 
 def test_has_minor_fixed_answers():
@@ -123,6 +124,28 @@ def test_hadwiger_agrees_with_unpruned_reference_exhaustive_n6():
     for n in range(1, 7):
         for g in iso_classes_up_to(6)[n]:
             assert hadwiger(g).value == reference_hadwiger(g)
+
+
+def test_a_milp_oracle_agrees_on_every_small_sc_class_and_the_sharp_families():
+    """The 0/1 program of ``milp_clique_minor`` against ``hadwiger``.
+
+    A feasible program's model is checked by ``verify_minor_model``.  An
+    infeasible one comes from a floating-point solver, so it counts as
+    agreement with the branch-set refutation, not as a certificate.
+    """
+    for n in (1, 4, 5, 8):
+        for g in sc_classes(n):
+            outcome = hadwiger(g)
+            h = outcome.value
+            assert outcome.exact
+            masks = milp_clique_minor(g, h)
+            assert masks is not None
+            assert verify_minor_model(g, MinorModel(masks), complete_graph(h)) is None
+            assert milp_clique_minor(g, h + 1) is None
+    for m in range(1, 4):
+        assert milp_clique_minor(sharp_4n(m), 2 * m + 1) is None
+    for m in range(3):
+        assert milp_clique_minor(sharp_4n_plus_1(m), 2 * m + 2) is None
 
 
 def test_sharp_families_at_m3_are_exact_within_a_small_budget():
