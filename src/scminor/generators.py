@@ -12,12 +12,16 @@ and all 2^orbits bit choices covers every isomorphism class.
 Relabelling by a permutation pi with pi sigma pi^-1 = sigma^j, j odd,
 keeps sigma as an antimorphism: sigma^j is an antimorphism of the
 relabelled graph, and so is sigma, an odd power of sigma^j.  Such pi form
-the normaliser of <sigma>, generated by the centraliser of sigma and the
-power maps, which conjugate sigma to its powers coprime to its order.  The
-normaliser acts on the bit choices, and every choice in one of its orbits
-builds an isomorphic graph.  Enumeration sweeps the choices upward with a
-visited array, floods each new orbit through the generators, and builds
-and canonicalises only the least choice of each orbit.
+the normaliser of <sigma>, generated by the power maps, which conjugate
+sigma to its powers coprime to its order, and the centraliser of sigma.
+The centraliser needs only one rotation per run of equal cycle lengths and
+the swaps of consecutive equal cycles, since a swap carries one rotation
+onto the next.  Sigma and all of these generators are laid out on
+consecutive blocks by one builder.  The normaliser acts on the bit
+choices, and every choice in one of its orbits builds an isomorphic graph.
+Enumeration sweeps the choices upward with a visited array, floods each
+new orbit through the generators, and builds and canonicalises only the
+least choice of each orbit.
 """
 
 from __future__ import annotations
@@ -116,19 +120,32 @@ def sachs_cycle_types(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(parts(total, total))
 
 
-def permutation_with_cycle_type(n: int, cycle_lengths: tuple[int, ...]) -> Permutation:
-    """Consecutive-block permutation of the given type; fixed point last."""
-    if sum(cycle_lengths) != n - (n % 4):
-        raise ValueError(
-            f"cycle type {cycle_lengths!r} does not fit n={n}"
-        )
+def _blockwise(
+    n: int, cycle_lengths: tuple[int, ...], move: Callable[[int, int], tuple[int, int]]
+) -> Permutation:
+    """The permutation on n vertices that sends vertex i of consecutive block
+    c (of lengths ``cycle_lengths``) to vertex k mod len(d) of block d, where
+    ``move(c, i) == (d, k)``; vertices past the blocks stay put."""
+    starts = [sum(cycle_lengths[:c]) for c in range(len(cycle_lengths))]
     image = list(range(n))
-    start = 0
-    for length in cycle_lengths:
+    for c, length in enumerate(cycle_lengths):
         for i in range(length):
-            image[start + i] = start + (i + 1) % length
-        start += length
+            d, k = move(c, i)
+            image[starts[c] + i] = starts[d] + k % cycle_lengths[d]
     return Permutation(image)
+
+
+def permutation_with_cycle_type(n: int, cycle_lengths: tuple[int, ...]) -> Permutation:
+    """Consecutive-block permutation of the given type; fixed point last.
+    The type must be an antimorphism's, checked before building."""
+    if n - sum(cycle_lengths) not in (0, 1) or any(
+        length <= 0 or length % 4 for length in cycle_lengths
+    ):
+        raise ValueError(
+            f"cycle type {cycle_lengths!r} does not fit n={n}: an antimorphism "
+            "has cycles of positive lengths divisible by 4 and at most one fixed point"
+        )
+    return _blockwise(n, cycle_lengths, lambda c, i: (c, i + 1))
 
 
 def pair_orbits(sigma: Permutation) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -190,58 +207,38 @@ def sc_from_assignment(
     return g
 
 
-def _centraliser_generators(
+def _normaliser_generators(
     sigma: Permutation, cycle_lengths: tuple[int, ...]
 ) -> list[Permutation]:
-    """Generators of the centraliser of sigma, the permutation that
+    """Generators of the normaliser of <sigma>, for the permutation sigma that
     ``permutation_with_cycle_type`` builds for ``cycle_lengths``.
 
-    One rotation per cycle (sigma on that cycle, the identity elsewhere) and
-    one swap per two consecutive cycles of equal length; the fixed point
+    One per cycle: the first cycle of each run of equal lengths gives its
+    rotation (sigma on that cycle, the identity elsewhere), and every later
+    one its swap with the cycle before it.  These generate the centraliser
+    of sigma, since the swap of cycles c - 1 and c conjugates the rotation of
+    c - 1 onto that of c.  Then the power maps: pi_j sends the i-th vertex of
+    each cycle to its (j * i mod length)-th vertex, so pi_j sigma pi_j^-1 =
+    sigma^j, for j in a generating set of the units mod L = lcm(cycle
+    lengths).  Every such j is odd, since 4 divides L.  The fixed point
     stays put.
     """
-    n = sigma.n
-    starts = [sum(cycle_lengths[:i]) for i in range(len(cycle_lengths))]
+    n, lengths = sigma.n, cycle_lengths
     gens = []
-    for start, length in zip(starts, cycle_lengths):
-        image = list(range(n))
-        image[start : start + length] = sigma.image[start : start + length]
-        gens.append(Permutation(image))
-    for i in range(len(cycle_lengths) - 1):
-        length = cycle_lengths[i]
-        if cycle_lengths[i + 1] != length:
-            continue
-        image = list(range(n))
-        for t in range(length):
-            a, b = starts[i] + t, starts[i + 1] + t
-            image[a], image[b] = b, a
-        gens.append(Permutation(image))
-    return gens
-
-
-def _power_maps(sigma: Permutation, cycle_lengths: tuple[int, ...]) -> list[Permutation]:
-    """Power maps that, with the centraliser, generate the normaliser of
-    <sigma>, for the permutation that ``permutation_with_cycle_type`` builds.
-
-    pi_j sends the i-th vertex of each cycle to its (j * i mod length)-th
-    vertex, so pi_j sigma pi_j^-1 = sigma^j; the fixed point stays put.  One
-    map per j in a generating set of the units mod L = lcm(cycle lengths).
-    Every such j is odd, since 4 divides L.
-    """
-    order = lcm(*cycle_lengths)
-    starts = [sum(cycle_lengths[:i]) for i in range(len(cycle_lengths))]
-    maps = []
+    for c, length in enumerate(lengths):
+        if c == 0 or lengths[c - 1] != length:
+            gens.append(_blockwise(n, lengths, lambda d, i, c=c: (d, i + (d == c))))
+        else:
+            swap = {c - 1: c, c: c - 1}
+            gens.append(_blockwise(n, lengths, lambda d, i, swap=swap: (swap.get(d, d), i)))
+    order = lcm(*lengths)
     reached = {1}
     for j in range(2, order):
         if gcd(j, order) != 1 or j in reached:
             continue
         reached = {r * pow(j, k, order) % order for r in reached for k in range(order)}
-        image = list(range(sigma.n))
-        for start, length in zip(starts, cycle_lengths):
-            for i in range(length):
-                image[start + i] = start + j * i % length
-        maps.append(Permutation(image))
-    return maps
+        gens.append(_blockwise(n, lengths, lambda d, i, j=j: (d, j * i)))
+    return gens
 
 
 def _bit_action(
@@ -293,7 +290,7 @@ def enumerate_sc(n: int) -> list[Graph]:
     Supported sizes are ``ENUMERATION_SIZES``: 1, 4, 5, 8, 9, 12 and 13;
     any other n raises ``ValueError``, the one size rule that the CLI's
     ``enum`` and ``verify-theorem`` report.  On one Xeon core n = 9 takes
-    about 0.02 s, n = 12 about 0.8 s and n = 13 about 7 s.
+    about 0.015 s, n = 12 about 0.65 s and n = 13 about 5.3 s.
     Output order is deterministic: cycle types largest-first, orbit choice
     bits counting up, first representative of each class kept.
 
@@ -310,11 +307,7 @@ def enumerate_sc(n: int) -> list[Graph]:
     for cycle_type in sachs_cycle_types(n):
         sigma = permutation_with_cycle_type(n, cycle_type)
         orbits = pair_orbits(sigma)
-        actions = [
-            _bit_action(orbits, pi)
-            for pi in _centraliser_generators(sigma, cycle_type)
-            + _power_maps(sigma, cycle_type)
-        ]
+        actions = [_bit_action(orbits, pi) for pi in _normaliser_generators(sigma, cycle_type)]
         visited = bytearray(1 << len(orbits))
         for bits in range(len(visited)):
             if visited[bits]:

@@ -30,12 +30,7 @@ from scminor import (
     sharp_4n_plus_1,
     write_graph6,
 )
-from scminor.generators import (
-    ENUMERATION_SIZES,
-    _bit_action,
-    _centraliser_generators,
-    _power_maps,
-)
+from scminor.generators import ENUMERATION_SIZES, _bit_action, _normaliser_generators
 from conftest import reference_enumerate_sc, sc_classes
 
 
@@ -116,6 +111,10 @@ def test_permutation_with_cycle_type():
     assert sigma.orbit(4) == (4, 5, 6, 7)
     with pytest.raises(ValueError):
         permutation_with_cycle_type(8, (4,))
+    # each length must be a positive multiple of 4, checked before building
+    for n, cycle_type in ((4, (6, -2)), (4, (4, 0)), (4, (2, 2)), (8, (5, 3))):
+        with pytest.raises(ValueError, match="positive lengths divisible by 4"):
+            permutation_with_cycle_type(n, cycle_type)
 
 
 def test_pair_orbits_small():
@@ -265,35 +264,6 @@ def test_enumerate_matches_canonicalising_every_assignment():
 CYCLE_TYPES = [(n, t) for n in (8, 9, 12, 13) for t in sachs_cycle_types(n)]
 
 
-def test_centraliser_generators_generate_the_centraliser():
-    for n, cycle_type in CYCLE_TYPES:
-        sigma = permutation_with_cycle_type(n, cycle_type)
-        gens = _centraliser_generators(sigma, cycle_type)
-        for pi in gens:
-            assert all(pi(sigma(v)) == sigma(pi(v)) for v in range(n))
-        group = {tuple(range(n))}
-        frontier = list(group)
-        while frontier:
-            image = frontier.pop()
-            for pi in gens:
-                step = tuple(pi(v) for v in image)
-                if step not in group:
-                    group.add(step)
-                    frontier.append(step)
-        # |C(sigma)| = prod over cycle lengths L of L^m * m!, m = multiplicity
-        lengths = set(cycle_type)
-        order = prod(
-            L ** cycle_type.count(L) * factorial(cycle_type.count(L)) for L in lengths
-        )
-        assert len(group) == order, f"n={n}, type {cycle_type}"
-
-
-def _normaliser_generators(
-    sigma: Permutation, cycle_type: tuple[int, ...]
-) -> list[Permutation]:
-    return _centraliser_generators(sigma, cycle_type) + _power_maps(sigma, cycle_type)
-
-
 def _closure(n: int, gens: list[Permutation]) -> set[tuple[int, ...]]:
     group = {tuple(range(n))}
     frontier = list(group)
@@ -307,14 +277,42 @@ def _closure(n: int, gens: list[Permutation]) -> set[tuple[int, ...]]:
     return group
 
 
-def test_power_maps_conjugate_sigma_to_odd_unit_powers():
+def _centraliser(sigma: Permutation, group: set[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """The elements of ``group`` (image tuples) that commute with sigma."""
+    n = sigma.n
+    return {image for image in group if all(image[sigma(v)] == sigma(image[v]) for v in range(n))}
+
+
+def test_the_normaliser_contains_the_whole_centraliser():
+    for n, cycle_type in CYCLE_TYPES:
+        sigma = permutation_with_cycle_type(n, cycle_type)
+        group = _closure(n, _normaliser_generators(sigma, cycle_type))
+        # |C(sigma)| = prod over cycle lengths L of L^m * m!, m = multiplicity
+        lengths = set(cycle_type)
+        order = prod(
+            L ** cycle_type.count(L) * factorial(cycle_type.count(L)) for L in lengths
+        )
+        assert len(_centraliser(sigma, group)) == order, f"n={n}, type {cycle_type}"
+
+
+def test_normaliser_generators_one_per_cycle_plus_the_power_maps():
+    # one rotation per run of equal lengths, one swap per later cycle of the
+    # run, and one power map per generator of the units mod lcm
+    counts = {(8,): 3, (4, 4): 3, (12,): 3, (8, 4): 4, (4, 4, 4): 4}
+    for n, cycle_type in CYCLE_TYPES:
+        sigma = permutation_with_cycle_type(n, cycle_type)
+        assert len(_normaliser_generators(sigma, cycle_type)) == counts[cycle_type], f"n={n}"
+
+
+def test_normaliser_generators_conjugate_sigma_to_odd_unit_powers():
+    # rotations and swaps commute with sigma (j = 1); power maps give j > 1
     for n, cycle_type in CYCLE_TYPES:
         sigma = permutation_with_cycle_type(n, cycle_type)
         order = lcm(*cycle_type)
         powers = [tuple(range(n))]
         for _ in range(order - 1):
             powers.append(tuple(sigma(v) for v in powers[-1]))
-        for pi in _power_maps(sigma, cycle_type):
+        for pi in _normaliser_generators(sigma, cycle_type):
             conjugate = [0] * n  # pi sigma pi^-1
             for v in range(n):
                 conjugate[pi(v)] = pi(sigma(v))
@@ -329,9 +327,9 @@ def test_normaliser_generators_generate_the_normaliser():
         sigma = permutation_with_cycle_type(n, cycle_type)
         order = lcm(*cycle_type)
         units = sum(1 for j in range(order) if gcd(j, order) == 1)
-        centraliser = len(_closure(n, _centraliser_generators(sigma, cycle_type)))
-        normaliser = len(_closure(n, _normaliser_generators(sigma, cycle_type)))
-        assert normaliser == centraliser * units, f"n={n}, type {cycle_type}"
+        normaliser = _closure(n, _normaliser_generators(sigma, cycle_type))
+        centraliser = _centraliser(sigma, normaliser)
+        assert len(normaliser) == len(centraliser) * units, f"n={n}, type {cycle_type}"
 
 
 @st.composite
@@ -339,7 +337,13 @@ def normaliser_moves(draw):
     n, cycle_type = draw(st.sampled_from(CYCLE_TYPES))
     sigma = permutation_with_cycle_type(n, cycle_type)
     orbits = pair_orbits(sigma)
-    pi = draw(st.sampled_from(_normaliser_generators(sigma, cycle_type)))
+    # a random product of generators, so rotations of every cycle appear,
+    # not only of the first of each run
+    gens = _normaliser_generators(sigma, cycle_type)
+    image = tuple(range(n))
+    for pi in draw(st.lists(st.sampled_from(gens), min_size=1, max_size=8)):
+        image = tuple(pi(v) for v in image)
+    pi = Permutation(image)
     bits = draw(st.integers(0, (1 << len(orbits)) - 1))
     return sigma, orbits, pi, bits
 
@@ -378,16 +382,18 @@ def _affine_fixed_points(act, k: int) -> int:
     return 2 ** (k - len(pivots))
 
 
-def _burnside_orbit_counts(n: int, generators=_centraliser_generators) -> list[int]:
+def _burnside_orbit_counts(n: int, generators, centraliser: bool = False) -> list[int]:
     """Per cycle type of ``sachs_cycle_types(n)``, the number of orbits on
     orbit assignments of the group that ``generators(sigma, cycle_type)``
-    generates (the centraliser by default): the mean over the whole group
-    (its closure) of each element's fixed assignments."""
+    generates, or of its elements that commute with sigma if ``centraliser``:
+    the mean over the whole group of each element's fixed assignments."""
     counts = []
     for cycle_type in sachs_cycle_types(n):
         sigma = permutation_with_cycle_type(n, cycle_type)
         orbits = pair_orbits(sigma)
         group = _closure(n, generators(sigma, cycle_type))
+        if centraliser:
+            group = _centraliser(sigma, group)
         fixed = sum(
             _affine_fixed_points(_bit_action(orbits, Permutation(image)), len(orbits))
             for image in group
@@ -425,7 +431,11 @@ def test_enumerate_builds_one_assignment_per_normaliser_orbit(n, monkeypatch):
 
 
 def test_centraliser_orbit_counts_by_burnside():
-    assert {n: _burnside_orbit_counts(n) for n in (4, 5, 8, 9, 12, 13)} == {
+    counts = {
+        n: _burnside_orbit_counts(n, _normaliser_generators, centraliser=True)
+        for n in (4, 5, 8, 9, 12, 13)
+    }
+    assert counts == {
         4: [2],
         5: [4],
         8: [8, 24],
