@@ -10,8 +10,10 @@ a single fixed point exactly when n = 4k + 1).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from collections.abc import Sequence
+# records as NamedTuples: `check` runs this module, and dataclasses would
+# load inspect and its imports into that process
+from typing import NamedTuple
 
 from .graphs import ConsistencyError, Graph, iter_bits
 
@@ -67,8 +69,7 @@ class Permutation:
         return f"Permutation({list(self.image)!r})"
 
 
-@dataclass(frozen=True)
-class CycleDecomposition:
+class CycleDecomposition(NamedTuple):
     """Nontrivial cycles (min-label first, longest first) plus fixed points."""
 
     cycles: tuple[tuple[int, ...], ...]
@@ -235,8 +236,7 @@ def find_antimorphism(g: Graph) -> Permutation | None:
     return None if image is None else Permutation(image)
 
 
-@dataclass(frozen=True)
-class SidePartition:
+class SidePartition(NamedTuple):
     """Degree split of a self-complementary graph on n = 4k vertices.
 
     ``high`` holds the 2k vertices of degree >= 2k, ``low`` the rest, and

@@ -15,7 +15,10 @@ exhausted ``hadwiger`` reports ``expansions`` as the budget plus one: the
 expansion that crossed the budget is counted.
 
 Each verb returns or yields ``(payload, text, exit code)`` answers; ``main``
-prints them one by one, so ``gen`` prints each graph as it is built.
+prints them one by one, so ``gen`` prints each graph as it is built.  Only
+``graphs`` and ``antimorphism`` are imported with this module; a verb
+imports any other module when it first runs, so ``check`` loads no other
+and ``minor`` adds only ``construction``.
 """
 
 from __future__ import annotations
@@ -25,8 +28,10 @@ import json
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
+from importlib import import_module
 
 from .graphs import (
+    DEFAULT_BUDGET,
     GRAPH6_WHITESPACE,
     CapacityError,
     Graph,
@@ -35,10 +40,6 @@ from .graphs import (
     write_graph6,
 )
 from .antimorphism import check_sachs, cycle_decomposition, find_antimorphism
-from .construction import build_plan, guaranteed_minor, realize_minor
-from .generators import enumerate_sc, random_sc, sharp_4n, sharp_4n_plus_1
-from .oracle import DEFAULT_BUDGET, hadwiger
-from .topology import APEX_CAP, CERTIFICATE, INDETERMINATE, NONE_FOUND, report
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -47,6 +48,25 @@ EXIT_BUDGET = 3
 
 Answer = tuple[dict, str, int]
 """One answer: its JSON payload, its plain text, and its exit code."""
+
+
+def _on_demand(module: str, name: str) -> Callable:
+    """A function that imports ``module`` when called and calls its ``name``."""
+
+    def call(*args, **kwargs):
+        return getattr(import_module(module, __package__), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+# The verbs call these through this module's attributes, where
+# bench/spans.py wraps them as it does the eagerly imported functions.
+build_plan = _on_demand(".construction", "build_plan")
+realize_minor = _on_demand(".construction", "realize_minor")
+hadwiger = _on_demand(".oracle", "hadwiger")
+enumerate_sc = _on_demand(".generators", "enumerate_sc")
+report = _on_demand(".topology", "report")
 
 
 class _InputError(Exception):
@@ -103,8 +123,11 @@ def _answer_each(
     ``--budget`` and ``--apex`` are checked before the first line is read."""
     if "budget" in args and args.budget <= 0:
         raise _InputError(f"budget must be positive, got {args.budget}")
-    if "apex" in args and not 0 <= args.apex <= APEX_CAP:
-        raise _InputError(f"--apex must be in 0..{APEX_CAP}, got {args.apex}")
+    if "apex" in args:
+        from .topology import APEX_CAP
+
+        if not 0 <= args.apex <= APEX_CAP:
+            raise _InputError(f"--apex must be in 0..{APEX_CAP}, got {args.apex}")
     return (answer(g, args) for g in _iter_graphs(args.input))
 
 
@@ -174,12 +197,16 @@ def cmd_hadwiger(g: Graph, args: argparse.Namespace) -> Answer:
 
 
 def _cert_text(c) -> str:
+    from .topology import CERTIFICATE, NONE_FOUND
+
     if c.status == CERTIFICATE:
         return c.target
     return "none" if c.status == NONE_FOUND else c.status
 
 
 def cmd_topo(g: Graph, args: argparse.Namespace) -> Answer:
+    from .topology import INDETERMINATE
+
     rep = report(g, apex_range=tuple(range(args.apex + 1)), budget=args.budget)
     apex_text = " ".join(
         f"apex{j}={'yes' if v else 'no'}" for j, v in sorted(rep.apex_numbers.items())
@@ -210,6 +237,8 @@ def _graph6_answers(graphs: Iterable[Graph]) -> Iterator[Answer]:
 
 
 def cmd_gen(args: argparse.Namespace) -> Iterator[Answer]:
+    from .generators import random_sc, sharp_4n, sharp_4n_plus_1
+
     # every graph is built lazily, so a bad --n reaches _graph6_answers
     if not args.random:
         if args.count is not None or args.seed is not None:
@@ -236,6 +265,8 @@ def cmd_enum(args: argparse.Namespace) -> Iterator[Answer]:
 
 
 def cmd_verify_theorem(args: argparse.Namespace) -> list[Answer]:
+    from .construction import guaranteed_minor
+
     n = args.n
     graphs = _enumerate(n)
     order = (n + 1) // 2

@@ -18,8 +18,14 @@ import operator
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from .graphs import Graph, ConsistencyError, iter_bits, mask_is_connected, neighbourhood
-from .generators import complete_graph
+from .graphs import (
+    ConsistencyError,
+    Graph,
+    complete_graph,
+    iter_bits,
+    mask_is_connected,
+    neighbourhood,
+)
 from .antimorphism import (
     Permutation,
     _validate_cycle,

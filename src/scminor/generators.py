@@ -1,5 +1,5 @@
-"""Graph generators: standard families, sharpness examples, and all
-self-complementary graphs at desk scale.
+"""Graph generators: sharpness examples, random self-complementary graphs,
+and all self-complementary graphs at desk scale.
 
 Self-complementary graphs are generated backwards from a candidate
 antimorphism sigma: sigma acts on unordered vertex pairs, edge membership
@@ -39,30 +39,6 @@ from .antimorphism import (
 )
 
 ENUMERATION_SIZES = (1, 4, 5, 8, 9, 12, 13)
-
-
-def complete_graph(k: int) -> Graph:
-    check_order(k)
-    full = (1 << k) - 1
-    return Graph._from_adj(full & ~(1 << v) for v in range(k))
-
-
-def complete_bipartite(p: int, q: int) -> Graph:
-    """Parts 0..p-1 and p..p+q-1, every cross pair an edge."""
-    if p < 0 or q < 0:
-        raise ValueError(f"part sizes must be >= 0, got {p} and {q}")
-    check_order(p + q)
-    return Graph._from_adj([((1 << q) - 1) << p] * p + [(1 << p) - 1] * q)
-
-
-def path_graph(k: int) -> Graph:
-    return Graph(k, [(i, i + 1) for i in range(k - 1)])
-
-
-def cycle_graph(k: int) -> Graph:
-    if k < 3:
-        raise ValueError(f"a cycle needs at least 3 vertices, got {k}")
-    return Graph(k, [(i, (i + 1) % k) for i in range(k)])
 
 
 def sharp_4n(n: int) -> Graph:

@@ -1,4 +1,5 @@
-"""Bitset-backed simple graphs: core operations, graph6 I/O, canonical forms.
+"""Bitset-backed simple graphs: core operations, the standard families,
+graph6 I/O, canonical forms.
 
 Vertices are always labelled 0..n-1 and adjacency is stored as one bitmask
 per vertex, so edge queries and neighbourhood intersections are single word
@@ -16,6 +17,9 @@ GRAPH6_MAX = 62
 # ASCII whitespace, the only bytes ignored around a graph6 string; str.strip()
 # would also drop 0x1c-0x1f, 0x85 and 0xa0, which are not graph6 bytes.
 GRAPH6_WHITESPACE = " \t\n\r\x0b\x0c"
+# Expansion budget of every minor search, here so that a caller can name it
+# without loading the oracle.
+DEFAULT_BUDGET = 10**8
 
 
 class Graph6Error(ValueError):
@@ -129,6 +133,33 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()!r})"
+
+
+# -- standard families -------------------------------------------------------
+
+
+def complete_graph(k: int) -> Graph:
+    check_order(k)
+    full = (1 << k) - 1
+    return Graph._from_adj(full & ~(1 << v) for v in range(k))
+
+
+def complete_bipartite(p: int, q: int) -> Graph:
+    """Parts 0..p-1 and p..p+q-1, every cross pair an edge."""
+    if p < 0 or q < 0:
+        raise ValueError(f"part sizes must be >= 0, got {p} and {q}")
+    check_order(p + q)
+    return Graph._from_adj([((1 << q) - 1) << p] * p + [(1 << p) - 1] * q)
+
+
+def path_graph(k: int) -> Graph:
+    return Graph(k, [(i, i + 1) for i in range(k - 1)])
+
+
+def cycle_graph(k: int) -> Graph:
+    if k < 3:
+        raise ValueError(f"a cycle needs at least 3 vertices, got {k}")
+    return Graph(k, [(i, (i + 1) % k) for i in range(k)])
 
 
 # -- elementary operations --------------------------------------------------

@@ -23,11 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph, iter_bits, neighbourhood
+from .graphs import DEFAULT_BUDGET, Graph, complete_graph, iter_bits, neighbourhood
 from .construction import MinorModel, checked_model
-from .generators import complete_graph
-
-DEFAULT_BUDGET = 10**8
 
 YES = "yes"
 NO = "no"

@@ -27,11 +27,18 @@ import itertools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
-from .graphs import Graph, ConsistencyError, iter_bits, neighbourhood
+from .graphs import (
+    DEFAULT_BUDGET,
+    ConsistencyError,
+    Graph,
+    complete_bipartite,
+    complete_graph,
+    iter_bits,
+    neighbourhood,
+)
 from .antimorphism import find_antimorphism
 from .construction import MinorModel, build_plan, checked_model, realize_minor
-from .generators import complete_graph, complete_bipartite
-from .oracle import BUDGET_EXCEEDED, DEFAULT_BUDGET, YES, has_minor
+from .oracle import BUDGET_EXCEEDED, YES, has_minor
 
 CERTIFICATE = "certificate"
 NONE_FOUND = "none_found"

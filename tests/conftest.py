@@ -710,9 +710,8 @@ def reference_kuratowski_witness(g: Graph, apex: bool):
     copies of the graph (the helpers lose only their docstrings), except
     that the branch sets go into the model as masks and the check returns
     its fault."""
-    from scminor.graphs import ConsistencyError, iter_bits
+    from scminor.graphs import ConsistencyError, complete_bipartite, complete_graph, iter_bits
     from scminor.construction import MinorModel, verify_minor_model
-    from scminor.generators import complete_bipartite, complete_graph
     from scminor.topology import CERTIFICATE, NONE_FOUND, CertificateSearch
 
     if g.num_edges < (6 if apex else 9):

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import scminor.cli
+import scminor.generators
 import scminor.topology
 from scminor import parse_graph6, random_sc, sharp_4n, write_graph6
 from scminor.cli import main
@@ -224,7 +225,7 @@ def test_gen_builds_each_graph_when_its_line_is_due(monkeypatch):
                 log.append("line")
             return super().write(text)
 
-    monkeypatch.setattr(scminor.cli, "random_sc", logged_random_sc)
+    monkeypatch.setattr(scminor.generators, "random_sc", logged_random_sc)
     monkeypatch.setattr(sys, "stdout", LoggedStdout())
     assert main(["gen", "--random", "--n", "8", "--count", "3"]) == 0
     assert log == ["build", "line"] * 3
@@ -331,7 +332,7 @@ def test_verify_theorem_never_samples(monkeypatch, capsys):
     def no_random_sc(n, seed):
         raise AssertionError("verify-theorem drew a random graph")
 
-    monkeypatch.setattr(scminor.cli, "random_sc", no_random_sc)
+    monkeypatch.setattr(scminor.generators, "random_sc", no_random_sc)
     code, out, _ = run_cli(["verify-theorem", "--n", "12"], "", monkeypatch, capsys)
     assert (code, out) == (0, "720 graphs, 720/720 K6-minor certificates verified\n")
 
@@ -406,6 +407,39 @@ def test_check_and_minor_do_not_import_networkx():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("outerplanar=yes planar=yes ")
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ([], ["scminor"]),
+        (["check"], ["scminor", "scminor.antimorphism", "scminor.cli", "scminor.graphs"]),
+        (
+            ["minor"],
+            [
+                "scminor",
+                "scminor.antimorphism",
+                "scminor.cli",
+                "scminor.construction",
+                "scminor.graphs",
+            ],
+        ),
+    ],
+    ids=["import", "check", "minor"],
+)
+def test_a_fresh_process_loads_only_the_modules_its_verb_runs(argv, loaded):
+    script = "import sys\nbefore = set(sys.modules)\nimport scminor\n"
+    if argv:
+        script += f"import scminor.cli\nassert scminor.cli.main({argv!r}) == 0\n"
+    if "scminor.construction" not in loaded:
+        # antimorphism's records are NamedTuples, so dataclasses stays out
+        script += "assert 'dataclasses' in before or 'dataclasses' not in sys.modules\n"
+    script += "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scminor'))\n"
+    run = subprocess.run(
+        [sys.executable, "-c", script], input="Ch\n", capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == repr(loaded)
 
 
 def test_topology_runs_where_networkx_cannot_be_imported():

@@ -2,9 +2,8 @@
 every private module-level function or class is used by the package.
 
 No linter ships with the test dependencies, so this walks each module's
-syntax tree with ``ast``.  ``__init__`` is left out of the import check: its
-imports are the public re-exports.  A private helper that only tests still
-reference fails the second check.
+syntax tree with ``ast``.  A private helper that only tests still reference
+fails the second check.
 """
 
 import ast
@@ -15,7 +14,6 @@ import pytest
 import scminor
 
 PACKAGE = sorted(Path(scminor.__file__).parent.glob("*.py"))
-MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -32,7 +30,7 @@ def _unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in bound.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+@pytest.mark.parametrize("path", PACKAGE, ids=[p.stem for p in PACKAGE])
 def test_every_module_level_import_is_used(path):
     assert _unused_imports(path.read_text()) == []
 
