@@ -42,13 +42,11 @@ _EXPORTS = {
     "construction": (
         "ContractionPlan",
         "CycleContraction",
-        "InvalidShiftError",
         "MinorModel",
         "build_plan",
         "choose_generator",
         "cycle_matching",
         "guaranteed_minor",
-        "odd_shift_matching",
         "realize_minor",
         "verify_minor_model",
     ),

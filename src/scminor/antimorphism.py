@@ -94,9 +94,10 @@ def cycle_decomposition(p: Permutation) -> CycleDecomposition:
     return CycleDecomposition(tuple(cycles), tuple(fixed))
 
 
-def check_sachs(dec: CycleDecomposition, n: int) -> str | None:
+def check_sachs(dec: CycleDecomposition) -> str | None:
     """The first broken condition of the forced cycle structure of an
-    antimorphism on n vertices, or None when the structure holds."""
+    antimorphism on the n vertices ``dec`` covers, or None if it holds."""
+    n = len(dec.fixed_points) + sum(map(len, dec.cycles))
     if n % 4 not in (0, 1):
         return f"n={n} is not 0 or 1 mod 4"
     for cyc in dec.cycles:

@@ -28,7 +28,6 @@ import json
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
-from importlib import import_module
 
 from .graphs import (
     DEFAULT_BUDGET,
@@ -51,10 +50,13 @@ Answer = tuple[dict, str, int]
 
 
 def _on_demand(module: str, name: str) -> Callable:
-    """A function that imports ``module`` when called and calls its ``name``."""
+    """A function that imports ``module`` when called and calls its ``name``.
+
+    ``__import__`` is the import statement's own path, which
+    ``python -X importtime`` reports; ``importlib.import_module`` is not."""
 
     def call(*args, **kwargs):
-        return getattr(import_module(module, __package__), name)(*args, **kwargs)
+        return getattr(__import__(module, globals(), None, (name,), 1), name)(*args, **kwargs)
 
     call.__name__ = call.__qualname__ = name
     return call
@@ -62,11 +64,11 @@ def _on_demand(module: str, name: str) -> Callable:
 
 # The verbs call these through this module's attributes, where
 # bench/spans.py wraps them as it does the eagerly imported functions.
-build_plan = _on_demand(".construction", "build_plan")
-realize_minor = _on_demand(".construction", "realize_minor")
-hadwiger = _on_demand(".oracle", "hadwiger")
-enumerate_sc = _on_demand(".generators", "enumerate_sc")
-report = _on_demand(".topology", "report")
+build_plan = _on_demand("construction", "build_plan")
+realize_minor = _on_demand("construction", "realize_minor")
+hadwiger = _on_demand("oracle", "hadwiger")
+enumerate_sc = _on_demand("generators", "enumerate_sc")
+report = _on_demand("topology", "report")
 
 
 class _InputError(Exception):
@@ -136,7 +138,7 @@ def cmd_check(g: Graph, args: argparse.Namespace) -> Answer:
     if rho is None:
         payload = {"n": g.n, "self_complementary": False}
         return payload, "self-complementary: no", EXIT_NEGATIVE
-    fault = check_sachs(cycle_decomposition(rho), g.n)
+    fault = check_sachs(cycle_decomposition(rho))
     notation = rho.cycle_notation()
     return (
         {"n": g.n, "self_complementary": True, "rho": notation, "sachs_ok": fault is None},
@@ -158,8 +160,7 @@ def cmd_minor(g: Graph, args: argparse.Namespace) -> Answer:
         cyc = " ".join(str(v) for v in part.cycle)
         edges = " ".join(f"({u} {v})" for u, v in part.matching)
         lines.append(
-            f"cycle ({cyc}): generator {part.generator}, "
-            f"shift {part.shift}, contract {edges}"
+            f"cycle ({cyc}): generator {part.generator}, shift 1, contract {edges}"
         )
     if plan.fixed_vertex is not None:
         lines.append(f"fixed vertex: {plan.fixed_vertex}")
@@ -207,9 +208,9 @@ def _cert_text(c) -> str:
 def cmd_topo(g: Graph, args: argparse.Namespace) -> Answer:
     from .topology import INDETERMINATE
 
-    rep = report(g, apex_range=tuple(range(args.apex + 1)), budget=args.budget)
+    rep = report(g, args.apex, args.budget)
     apex_text = " ".join(
-        f"apex{j}={'yes' if v else 'no'}" for j, v in sorted(rep.apex_numbers.items())
+        f"apex{j}={'yes' if v else 'no'}" for j, v in enumerate(rep.apex_numbers)
     )
     indeterminate = INDETERMINATE in (rep.il_certificate.status, rep.ik_certificate.status)
     return (

@@ -36,24 +36,12 @@ from .antimorphism import (
 )
 
 
-class InvalidShiftError(ValueError):
-    """The requested odd shift does not hit a neighbour of the generator."""
-
-    def __init__(self, shift: int, valid_shifts: tuple[int, ...]):
-        super().__init__(
-            f"shift {shift} is invalid; valid odd shifts are {list(valid_shifts)}"
-        )
-        self.shift = shift
-        self.valid_shifts = valid_shifts
-
-
 @dataclass(frozen=True)
 class CycleContraction:
     """One cycle's slice of a contraction plan: 2m disjoint edges covering it."""
 
     cycle: tuple[int, ...]
     generator: int
-    shift: int
     matching: tuple[tuple[int, int], ...]
 
 
@@ -150,51 +138,20 @@ def choose_generator(g: Graph, rho: Permutation, cycle: Sequence[int]) -> int:
     )
 
 
-def _shift_pairs(
-    g: Graph, seq: Sequence[int], shift: int
-) -> tuple[tuple[int, int], ...]:
-    """The pairs {seq[2i], seq[2i+shift]} around ``seq``, each checked to be an edge."""
-    n = len(seq)
-    pairs = tuple((seq[2 * i], seq[(2 * i + shift) % n]) for i in range(n // 2))
-    for u, v in pairs:
-        if not g.has_edge(u, v):
-            raise ConsistencyError(
-                f"claimed matching edge ({u}, {v}) is absent for shift {shift}; "
-                "even powers of an antimorphism must preserve edges"
-            )
-    return pairs
-
-
 def cycle_matching(
     g: Graph, rho: Permutation, cycle: Sequence[int]
 ) -> tuple[tuple[int, int], ...]:
-    """The 2m contraction edges {rho^(2i)(a), rho^(2i+1)(a)} of a 4m-cycle."""
-    return _shift_pairs(g, rho.orbit(choose_generator(g, rho, cycle)), 1)
-
-
-def odd_shift_matching(
-    g: Graph, rho: Permutation, shift: int
-) -> tuple[tuple[int, int], ...]:
-    """Perfect matching {rho^(2i)(a), rho^(2i+shift)(a)} for a single-cycle rho.
-
-    Only defined when rho is one cycle, of a length the cycle validator
-    accepts, through every vertex.  Any odd shift t with {a, rho^t(a)} an
-    edge works, and there are exactly n/4 such shifts; shift 1 is :func:`cycle_matching`.
-    """
-    n = g.n
-    dec = cycle_decomposition(rho)
-    if dec.fixed_points or len(dec.cycles) != 1 or rho.n != n:
-        raise ValueError("permutation must be a single cycle over all vertices")
-    if shift % 2 == 0 or not 1 <= shift <= n - 1:
-        raise ValueError(f"shift must be odd and in 1..{n - 1}, got {shift}")
-    a = choose_generator(g, rho, dec.cycles[0])
-    seq = rho.orbit(a)
-    if not g.has_edge(a, seq[shift]):
-        valid = tuple(
-            t for t in range(1, n, 2) if g.has_edge(a, seq[t])
-        )
-        raise InvalidShiftError(shift, valid)
-    return _shift_pairs(g, seq, shift)
+    """The 2m contraction edges {rho^(2i)(a), rho^(2i+1)(a)} of a 4m-cycle,
+    each checked to be an edge."""
+    seq = rho.orbit(choose_generator(g, rho, cycle))
+    pairs = tuple(zip(seq[::2], seq[1::2]))
+    for u, v in pairs:
+        if not g.has_edge(u, v):
+            raise ConsistencyError(
+                f"claimed matching edge ({u}, {v}) is absent; "
+                "even powers of an antimorphism must preserve edges"
+            )
+    return pairs
 
 
 def build_plan(g: Graph, rho: Permutation) -> ContractionPlan:
@@ -202,14 +159,14 @@ def build_plan(g: Graph, rho: Permutation) -> ContractionPlan:
     if not is_antimorphism(g, rho):
         raise ValueError("permutation is not an antimorphism of the graph")
     dec = cycle_decomposition(rho)
-    fault = check_sachs(dec, g.n)
+    fault = check_sachs(dec)
     if fault is not None:
         raise ValueError(f"antimorphism fails its structure check: {fault}")
     parts = []
     for cyc in dec.cycles:
         matching = cycle_matching(g, rho, cyc)
         # The matching starts at the generator: rho.orbit(a) begins with a.
-        parts.append(CycleContraction(cyc, matching[0][0], 1, matching))
+        parts.append(CycleContraction(cyc, matching[0][0], matching))
     fixed = dec.fixed_points[0] if dec.fixed_points else None
     return ContractionPlan(tuple(parts), fixed)
 

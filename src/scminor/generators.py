@@ -165,7 +165,7 @@ def sc_from_assignment(
     every step along the orbit.  The result always admits ``sigma`` as an
     antimorphism.
     """
-    fault = check_sachs(cycle_decomposition(sigma), sigma.n)
+    fault = check_sachs(cycle_decomposition(sigma))
     if fault is not None:
         raise ValueError(f"invalid generating permutation: {fault}")
     if bits < 0 or bits >> len(orbits):

@@ -470,7 +470,7 @@ class TopologyReport:
     planar: bool
     il_certificate: CertificateSearch
     ik_certificate: CertificateSearch
-    apex_numbers: dict[int, bool]
+    apex_numbers: tuple[bool, ...]
 
     def to_json_dict(self) -> dict:
         def cert(c: CertificateSearch) -> dict:
@@ -485,43 +485,41 @@ class TopologyReport:
             "planar": self.planar,
             "il_certificate": cert(self.il_certificate),
             "ik_certificate": cert(self.ik_certificate),
-            "apex_numbers": {str(j): v for j, v in sorted(self.apex_numbers.items())},
+            "apex_numbers": {str(j): v for j, v in enumerate(self.apex_numbers)},
         }
 
 
-def report(
-    g: Graph,
-    apex_range: tuple[int, ...] = (0, 1, 2),
-    budget: int = DEFAULT_BUDGET,
-) -> TopologyReport:
+def report(g: Graph, apex: int = 2, budget: int = DEFAULT_BUDGET) -> TopologyReport:
     """Aggregate the topology predicates and re-check their consistency.
 
+    ``apex_numbers[j]`` answers whether g is j-apex, for j = 0..``apex``.
     An SC g with floor((n+1)/2) >= 6 gets one constructive model, and its
     IL/IK certificates are the model's first 6 and 7 branch sets where it
     has that many.  A verified K_t model with t >= 5 + j proves that g is
     not j-apex: deleting j vertices removes at most j branch sets, so a K5
-    minor survives.  One ``is_n_apex`` call at the largest open j (j = 0, a
-    planarity test, if none is open) answers planarity and every open j: its
+    minor survives.  One ``is_n_apex`` call at j = ``apex`` if that is open,
+    else at j = 0 (a planarity test), answers planarity and every open j: its
     deletion set is a smallest one.  The search runs before any oracle
     certificate, and the same argument turns it around: a deletion set of at
     most 1 (resp. 2) vertices means no K6 (resp. K7) minor, answered none
     found.  The oracle runs only for the orders the model and the set leave open.
     """
-    for j in apex_range:
-        _check_apex_parameter(j)
+    _check_apex_parameter(apex)
     outer = is_outerplanar(g)
     model = _constructive_model(g, 6)
     t = 0 if model is None else model.k
     # the search tests g itself first, so it answers planarity too
-    _, deleted = is_n_apex(g, max((j for j in apex_range if t < 5 + j), default=0))
+    _, deleted = is_n_apex(g, apex if t < 5 + apex else 0)
     planar = deleted == frozenset()
-    apex = {j: t < 5 + j and deleted is not None and len(deleted) <= j for j in apex_range}
+    apex_numbers = tuple(
+        t < 5 + j and deleted is not None and len(deleted) <= j for j in range(apex + 1)
+    )
     il = _complete_certificate(g, 6, budget, model, deleted)
     ik = _complete_certificate(g, 7, budget, model, deleted)
     if ik.status == CERTIFICATE and il.status == NONE_FOUND:
         raise ConsistencyError("complete minor of order 7 without one of order 6")
     if outer and not planar:
         raise ConsistencyError("outerplanar graph reported non-planar")
-    if apex.get(0, planar) != planar:
+    if apex_numbers[0] != planar:
         raise ConsistencyError("0-apex answer disagrees with planarity")
-    return TopologyReport(outer, planar, il, ik, apex)
+    return TopologyReport(outer, planar, il, ik, apex_numbers)

@@ -87,7 +87,7 @@ def test_criterion_3_sachs_structure():
     checked = 0
     for n, g in _criterion_2_graphs():
         rho = find_antimorphism(g)
-        fault = check_sachs(cycle_decomposition(rho), n)
+        fault = check_sachs(cycle_decomposition(rho))
         assert fault is None, f"n={n}: {fault}"
         checked += 1
     _report(3, f"all {checked} antimorphisms have the forced cycle structure")

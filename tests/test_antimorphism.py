@@ -124,29 +124,28 @@ def test_find_antimorphism_exhaustive_small():
 
 
 def test_check_sachs():
-    assert check_sachs(cycle_decomposition(find_antimorphism(path_graph(4))), 4) is None
-    assert check_sachs(cycle_decomposition(find_antimorphism(cycle_graph(5))), 5) is None
+    assert check_sachs(cycle_decomposition(find_antimorphism(path_graph(4)))) is None
+    assert check_sachs(cycle_decomposition(find_antimorphism(cycle_graph(5)))) is None
 
-    fault = check_sachs(cycle_decomposition(Permutation([1, 0, 3, 2])), 4)
+    fault = check_sachs(cycle_decomposition(Permutation([1, 0, 3, 2])))
     assert fault == "cycle length 2 is not divisible by 4"
 
     # one 4-cycle plus one fixed point is fine at n=5
-    assert check_sachs(cycle_decomposition(Permutation([1, 2, 3, 0, 4])), 4 + 1) is None
+    assert check_sachs(cycle_decomposition(Permutation([1, 2, 3, 0, 4]))) is None
 
-    fault = check_sachs(cycle_decomposition(Permutation([1, 2, 3, 0, 4, 5])), 6)
-    assert "mod 4" in fault
+    # n is read off the decomposition: every vertex lies on a cycle or is fixed
+    fault = check_sachs(cycle_decomposition(Permutation([1, 2, 3, 0, 4, 5])))
+    assert fault == "n=6 is not 0 or 1 mod 4"
 
-    two_fixed = check_sachs(
-        cycle_decomposition(Permutation([1, 2, 3, 0, 4, 5, 6, 7, 8])), 9
-    )
-    assert "fixed point" in two_fixed
+    fault = check_sachs(cycle_decomposition(Permutation([1, 2, 3, 0, 4, 5, 6, 7, 8])))
+    assert fault == "expected 1 fixed point(s) for n=9, found 5"
 
 
 def test_every_found_antimorphism_passes_sachs():
     for n in (4, 5, 8, 9):
         for g in sc_classes(n):
             rho = find_antimorphism(g)
-            assert check_sachs(cycle_decomposition(rho), n) is None
+            assert check_sachs(cycle_decomposition(rho)) is None
 
 
 def test_side_partition_p4():

@@ -442,6 +442,27 @@ def test_a_fresh_process_loads_only_the_modules_its_verb_runs(argv, loaded):
     assert run.stdout.splitlines()[-1] == repr(loaded)
 
 
+@pytest.mark.parametrize(
+    ("verb", "loaded"),
+    [
+        ("check", "scminor scminor.antimorphism scminor.cli scminor.graphs"),
+        ("minor", "scminor scminor.antimorphism scminor.cli scminor.construction scminor.graphs"),
+    ],
+)
+def test_importtime_reports_every_module_a_verb_loads(verb, loaded):
+    # the modules a verb imports on first use must show up where CI counts them
+    script = f"import scminor.cli\nassert scminor.cli.main([{verb!r}]) == 0\n"
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", script],
+        input="Ch\n",
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    names = {line.rpartition("|")[2].strip() for line in run.stderr.splitlines()}
+    assert " ".join(sorted(m for m in names if m.partition(".")[0] == "scminor")) == loaded
+
+
 def test_topology_runs_where_networkx_cannot_be_imported():
     # sys.modules[name] = None makes every import of that name fail
     script = (

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from scminor import (
     ConsistencyError,
     Graph,
-    InvalidShiftError,
     MinorModel,
     Permutation,
     build_plan,
@@ -17,12 +16,8 @@ from scminor import (
     find_antimorphism,
     guaranteed_minor,
     has_minor,
-    odd_shift_matching,
-    pair_orbits,
     path_graph,
-    permutation_with_cycle_type,
     realize_minor,
-    sc_from_assignment,
     sharp_4n,
     side_partition,
     verify_minor_model,
@@ -129,58 +124,11 @@ def test_every_cycle_function_rejects_a_cycle_of_length_2(cycle_function, rho, c
         cycle_function(path_graph(4), rho, cycle)
 
 
-def test_odd_shift_matching_shift_one_matches_cycle_matching():
-    g = path_graph(4)
-    rho, cycles = _rho_and_cycles(g)
-    assert odd_shift_matching(g, rho, 1) == cycle_matching(g, rho, cycles[0])
-
-
-def test_odd_shift_matching_validation():
-    g = path_graph(4)
-    rho, _ = _rho_and_cycles(g)
-    with pytest.raises(ValueError):
-        odd_shift_matching(g, rho, 2)
-    with pytest.raises(InvalidShiftError) as err:
-        odd_shift_matching(g, rho, 3)
-    assert err.value.valid_shifts == (1,)
-
-    c5 = cycle_graph(5)
-    with pytest.raises(ValueError):
-        odd_shift_matching(c5, find_antimorphism(c5), 1)  # has a fixed point
-    # one cycle through all 6 vertices: the cycle validator's length rule
-    with pytest.raises(ValueError, match="^cycle length 6 is not divisible by 4$"):
-        odd_shift_matching(cycle_graph(6), Permutation([1, 2, 3, 4, 5, 0]), 1)
-
-
-def test_odd_shift_count_on_single_cycle_eight_vertex_graphs():
-    # on a single-8-cycle antimorphism exactly 2 of the 4 odd shifts work,
-    # and each valid shift contracts to a verified complete minor of order 4
-    sigma = permutation_with_cycle_type(8, (8,))
-    orbits = pair_orbits(sigma)
-    k4 = complete_graph(4)
-    seen = 0
-    for bits in range(1 << len(orbits)):
-        g = sc_from_assignment(sigma, orbits, bits)
-        valid = []
-        for t in (1, 3, 5, 7):
-            try:
-                matching = odd_shift_matching(g, sigma, t)
-            except InvalidShiftError:
-                continue
-            valid.append(t)
-            model = MinorModel(tuple(1 << u | 1 << v for u, v in matching))
-            assert verify_minor_model(g, model, k4) is None
-        assert len(valid) == 2
-        seen += 1
-    assert seen == 16
-
-
 def test_build_plan_fixed_cases():
     g = path_graph(4)
     plan = build_plan(g, find_antimorphism(g))
     assert plan.fixed_vertex is None
     assert len(plan.per_cycle) == 1
-    assert plan.per_cycle[0].shift == 1
     assert plan.per_cycle[0].matching == ((0, 1), (3, 2))
 
     c5 = cycle_graph(5)

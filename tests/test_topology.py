@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 from collections import Counter
@@ -198,26 +199,35 @@ def test_euler_bounds_respected():
 
 
 def test_report_c5():
-    rep = report(cycle_graph(5), apex_range=(0, 1))
+    rep = report(cycle_graph(5), apex=1)
     assert rep.outerplanar and rep.planar
     assert rep.il_certificate.status == "none_found"
     assert rep.ik_certificate.status == "none_found"
-    assert rep.apex_numbers == {0: True, 1: True}
+    assert rep.apex_numbers == (True, True)
     data = rep.to_json_dict()
     assert data["outerplanar"] is True
     assert data["apex_numbers"] == {"0": True, "1": True}
     assert data["il_certificate"]["status"] == "none_found"
 
 
+def test_report_is_hashable_with_one_apex_answer_per_j():
+    for g in (cycle_graph(5), sharp_4n(2), random_sc(13, 3)):
+        reports = [report(g, apex) for apex in range(4)]
+        assert [len(rep.apex_numbers) for rep in reports] == [1, 2, 3, 4]
+        assert all(type(rep.apex_numbers) is tuple for rep in reports)
+        assert len(set(reports)) == 4
+        assert hash(report(g, 2)) == hash(reports[2])
+
+
 def test_report_sharp_eight():
-    rep = report(sharp_4n(2), apex_range=(0,))
+    rep = report(sharp_4n(2), apex=0)
     assert not rep.outerplanar
     assert rep.planar  # all self-complementary graphs on 8 vertices embed
     assert rep.il_certificate.status == "none_found"
 
 
 def test_report_random_sc_13():
-    rep = report(random_sc(13, 3), apex_range=(0,))
+    rep = report(random_sc(13, 3), apex=0)
     assert not rep.planar and not rep.outerplanar
     assert rep.il_certificate.status == "certificate"
     assert rep.ik_certificate.status == "certificate"
@@ -241,11 +251,11 @@ def test_hadwiger_of_sc_eight_vertex_graphs_is_exactly_four():
 
 def test_report_rejects_bad_apex_parameters_despite_a_certificate():
     g = random_sc(13, 3)
-    assert report(g, apex_range=(0,)).ik_certificate.status == "certificate"
+    assert report(g, apex=0).ik_certificate.status == "certificate"
     with pytest.raises(ValueError, match="capped at j <= 3, got 4"):
-        report(g, apex_range=(4,))
+        report(g, apex=4)
     with pytest.raises(ValueError, match="must be >= 0, got -1"):
-        report(g, apex_range=(0, -1))
+        report(g, apex=-1)
 
 
 def test_report_apex_numbers_equal_per_j_searches(monkeypatch):
@@ -264,7 +274,7 @@ def test_report_apex_numbers_equal_per_j_searches(monkeypatch):
     for g in graphs:
         calls.clear()
         rep = report(g)
-        assert rep.apex_numbers == {j: search(g, j)[0] for j in (0, 1, 2)}
+        assert rep.apex_numbers == tuple(search(g, j)[0] for j in (0, 1, 2))
         assert len(calls) <= 1
 
 
@@ -289,18 +299,15 @@ def _count_construction_calls(monkeypatch):
 def test_report_builds_the_constructive_model_once(monkeypatch):
     calls = _count_construction_calls(monkeypatch)
     once = {"find_antimorphism": 1, "build_plan": 1, "realize_minor": 1}
-    for g, apex_range in (
-        (random_sc(13, 1), (0, 1, 2)),
-        (random_sc(61, 1), (0, 1, 2, 3)),
-    ):
+    for g, apex in ((random_sc(13, 1), 2), (random_sc(61, 1), 3)):
         calls.clear()
-        report(g, apex_range=apex_range)
+        report(g, apex)
         assert calls == once
     # below floor((n+1)/2) = 6 the model could settle nothing: no search at all
     for g in (g for n in (1, 4, 5, 8, 9) for g in sc_classes(n)):
-        for apex_range in ((0, 1, 2), (0,)):
+        for apex in (2, 0):
             calls.clear()
-            report(g, apex_range=apex_range)
+            report(g, apex)
             assert not calls
     # a host that is not SC is searched once, and the oracle answers the rest
     rng = random.Random(19)
@@ -543,8 +550,8 @@ def test_report_planarity_agrees_with_networkx():
     graphs += [random_graph(rng, rng.randrange(6, 12), 0.7) for _ in range(20)]
     for g in graphs:
         want = reference_planar(g), reference_planar(g, apex=True)
-        for apex_range in ((0, 1, 2), ()):
-            rep = report(g, apex_range=apex_range)
+        for apex in (2, 0):
+            rep = report(g, apex)
             assert (rep.planar, rep.outerplanar) == want
 
 
@@ -559,7 +566,7 @@ def test_report_tests_the_planarity_of_its_graph_once(monkeypatch):
     monkeypatch.setattr(scminor.topology, "is_planar", counted)
     for g in (g for n in (1, 4, 5, 8, 9) for g in sc_classes(n)):
         calls.clear()
-        report(g, apex_range=(0, 1, 2))
+        report(g, apex=2)
         assert sum(h == g for h in calls) == 1
 
 
@@ -570,7 +577,7 @@ def _relabelled(g: Graph, rng: random.Random) -> Graph:
 
 
 def test_apex_first_report_equals_the_oracle_first_reference(monkeypatch):
-    """The same report, with no more oracle expansions, on every apex range.
+    """The same report, with no more oracle expansions, at every apex parameter.
 
     Where the apex search settles K6 or K7 the reference's exhaustive oracle
     answer is replaced by none found with 0 expansions; everything else,
@@ -584,8 +591,10 @@ def test_apex_first_report_equals_the_oracle_first_reference(monkeypatch):
     graphs += [random_sc(n, s) for n in (12, 13) for s in range(20)]
     graphs += [random_graph(rng, rng.randrange(6, 12), 0.7) for _ in range(20)]
     for g in graphs:
-        for apex_range in ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3)):
-            got, want = report(g, apex_range), reference_report(g, apex_range)
+        for apex in range(4):
+            got, want = report(g, apex), reference_report(g, tuple(range(apex + 1)))
+            # the reference keeps its answers in a dict keyed by j
+            want = dataclasses.replace(want, apex_numbers=tuple(want.apex_numbers.values()))
             assert got.to_json_dict() == want.to_json_dict()
             for mine, theirs in ((got.il_certificate, want.il_certificate), (got.ik_certificate, want.ik_certificate)):
                 assert mine == theirs or (mine.expansions == 0 and mine.status == "none_found")
@@ -601,7 +610,7 @@ def test_report_asks_no_oracle_on_the_nine_vertex_classes(monkeypatch):
 
     monkeypatch.setattr(scminor.topology, "has_minor", counted)
     for g in sc_classes(9):
-        rep = report(g, apex_range=(0, 1, 2))
+        rep = report(g, apex=2)
         assert rep.il_certificate.status == rep.ik_certificate.status == "none_found"
     assert len(sc_classes(9)) == 36 and not calls
 
