@@ -7,8 +7,6 @@ module, is imported on first access (PEP 562), so a process loads only the
 modules it uses.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 _EXPORTS = {
@@ -81,10 +79,13 @@ __all__ = list(_HOME)
 
 
 def __getattr__(name: str):
+    # __import__ is the import statement's own path, which
+    # ``python -X importtime`` reports; importlib.import_module is not.
+    # At level 1 with no fromlist it returns the submodule itself.
     if name in _HOME:
-        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+        value = getattr(__import__(_HOME[name], globals(), None, (), 1), name)
     elif name in _SUBMODULES:
-        value = importlib.import_module(f".{name}", __name__)
+        value = __import__(name, globals(), None, (), 1)
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value

@@ -154,37 +154,37 @@ def _pair_profiles_match(adj: Sequence[int]) -> bool:
     return not any(balance)
 
 
-def _least_antimorphism(adj: Sequence[int]) -> list[int] | None:
-    """The lexicographically least antimorphism's image array, or None.
+def _least_isomorphism(
+    adj: Sequence[int], target: Sequence[int], domains: Sequence[int]
+) -> list[int] | None:
+    """The lexicographically least isomorphism from the graph on ``adj`` onto
+    the one on ``target`` that sends each vertex v into the mask
+    ``domains[v]``, as an image array, or None if there is none.
 
     Backtracks over image assignments in vertex order 0..n-1, keeping for
     every unassigned vertex a bitmask domain of the images still possible.
-    A vertex v starts with the vertices of degree n-1-deg(v).  Assigning
-    v -> w forward-checks every later u: its domain keeps only non-neighbours
-    of w if u ~ v, and only neighbours of w otherwise.  Neither mask holds w,
-    so the images stay distinct, and a candidate that empties some domain is
-    skipped at once.  Candidates are tried in ascending order; forward
-    checking removes only candidates that no completion could use, so the
-    first full assignment is the least one.
+    Assigning v -> w forward-checks every later u: its domain keeps only
+    target-neighbours of w if u ~ v, and only target-non-neighbours of w
+    otherwise.  Neither mask holds w, so the images stay distinct, and a
+    candidate that empties some domain is skipped at once.  Candidates are
+    tried in ascending order; forward checking removes only candidates that
+    no completion could use, so the first full assignment is the least one.
 
     One integer holds every domain: row u is bits u*W .. u*W+n-1, W = n+1,
-    with the top bit kept 0.  ``near`` holds bit u*W iff u ~ v (column v of
-    the symmetric row-packed adjacency), so ``near * nonadj[w] | far * adj[w]``
-    narrows every row in one AND (rows up to v too, never read again).
-    Adding 2^n - 1 to each row carries into its top bit iff the row is
-    nonempty, so one addition tests every later domain.
+    with the top bit kept 0, so every domain must lie in bits 0..n-1.
+    ``near`` holds bit u*W iff u ~ v (column v of the symmetric row-packed
+    adjacency), so ``near * target[w] | far * nontarget[w]`` narrows every
+    row in one AND (rows up to v too, never read again).  Adding 2^n - 1 to
+    each row carries into its top bit iff the row is nonempty, so one
+    addition tests every later domain.
     """
     n = len(adj)
     width = n + 1
     full = (1 << n) - 1
-    nonadj = [full & ~(a | (1 << w)) for w, a in enumerate(adj)]
-    by_degree: dict[int, int] = {}
-    for w, a in enumerate(adj):
-        d = a.bit_count()
-        by_degree[d] = by_degree.get(d, 0) | (1 << w)
+    nontarget = [full & ~(t | (1 << w)) for w, t in enumerate(target)]
     ones = sum(1 << u * width for u in range(n))
     matrix = sum(a << u * width for u, a in enumerate(adj))
-    domains = sum(by_degree.get(n - 1 - a.bit_count(), 0) << u * width for u, a in enumerate(adj))
+    packed = sum(d << u * width for u, d in enumerate(domains))
     fill = ones * full
     image = [0] * n
 
@@ -201,12 +201,29 @@ def _least_antimorphism(adj: Sequence[int]) -> list[int] | None:
             image[v] = w
             if v == n - 1:
                 return True
-            nxt = doms & (near * nonadj[w] | far * adj[w])
+            nxt = doms & (near * target[w] | far * nontarget[w])
             if (nxt + fill) & later == later and assign(v + 1, nxt):
                 return True
         return False
 
-    return image if assign(0, domains) else None
+    return image if not n or assign(0, packed) else None
+
+
+def _least_antimorphism(adj: Sequence[int]) -> list[int] | None:
+    """The lexicographically least antimorphism's image array, or None: the
+    least isomorphism onto the complement, with vertex v's domain the
+    vertices of degree n-1-deg(v)."""
+    n = len(adj)
+    full = (1 << n) - 1
+    by_degree: dict[int, int] = {}
+    for w, a in enumerate(adj):
+        d = a.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | (1 << w)
+    return _least_isomorphism(
+        adj,
+        [full & ~(a | (1 << w)) for w, a in enumerate(adj)],
+        [by_degree.get(n - 1 - a.bit_count(), 0) for a in adj],
+    )
 
 
 def find_antimorphism(g: Graph) -> Permutation | None:

@@ -20,25 +20,29 @@ onto the next.  Sigma and all of these generators are laid out on
 consecutive blocks by one builder.  The normaliser acts on the bit
 choices, and every choice in one of its orbits builds an isomorphic graph.
 Enumeration sweeps the choices upward with a visited array, floods each
-new orbit through the generators, and builds and canonicalises only the
-least choice of each orbit.
+new orbit through the generators, and builds only the least choice of each
+orbit.  A built graph is kept unless an isomorphism search maps it onto a
+kept graph with the same colour-refinement key.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from math import gcd, lcm
 
 from .graphs import ConsistencyError, Graph, canonical_form, check_order
 from .antimorphism import (
     Permutation,
+    _least_isomorphism,
     check_sachs,
     cycle_decomposition,
     is_antimorphism,
 )
 
 ENUMERATION_SIZES = (1, 4, 5, 8, 9, 12, 13)
+# Not called here: kept as this module's attribute, which bench/spans.py wraps.
+canonical_form = canonical_form
 
 
 def sharp_4n(n: int) -> Graph:
@@ -260,25 +264,86 @@ def _bit_action(
     return act
 
 
+def _class_key(adj: Sequence[int]) -> tuple[tuple, list[int], list[int]]:
+    """An isomorphism invariant of the graph on ``adj``, the vertex colouring
+    it comes from, and the colour classes as masks.
+
+    Colour refinement (McKay and Piperno, J. Symb. Comput. 60, 2014) seeded
+    with each vertex's sorted pair profiles (u ~ v, |N(u) & N(v)|) over the
+    other vertices.  A vertex's next signature is its colour and its counts
+    of neighbours per colour; colours are numbered by sorted signature, so
+    an isomorphism carries each vertex to one of the same colour.  The key
+    holds every round's sorted signatures.
+    """
+    n = len(adj)
+    profiles: list[list[int]] = [[] for _ in range(n)]
+    for u in range(n):
+        au = adj[u]
+        for v in range(u + 1, n):
+            profile = (au >> v & 1) * n + (au & adj[v]).bit_count()
+            profiles[u].append(profile)
+            profiles[v].append(profile)
+    sigs: list[tuple] = [tuple(sorted(p)) for p in profiles]
+    rounds = []
+    masks: list[int] = []
+    while True:
+        ordered = sorted(sigs)
+        rounds.append(tuple(ordered))
+        table = {sig: c for c, sig in enumerate(dict.fromkeys(ordered))}
+        colors = [table[sig] for sig in sigs]
+        if len(table) == len(masks):
+            # no class split, and signatures sort by their old colour first,
+            # so every colour kept its number and ``masks`` still holds
+            return tuple(rounds), colors, masks
+        masks = [0] * len(table)
+        for v, c in enumerate(colors):
+            masks[c] |= 1 << v
+        sigs = [(c, *[(a & m).bit_count() for m in masks]) for c, a in zip(colors, adj)]
+
+
+def _is_repeat(
+    adj: Sequence[int], colors: list[int], kept: Sequence[int], classes: list[int]
+) -> bool:
+    """True iff the graph on ``adj`` is isomorphic to the one on ``kept``,
+    given equal keys from ``_class_key``: ``adj``'s colours ``colors`` and
+    ``kept``'s colour classes ``classes``.  A map found is checked pair by
+    pair."""
+    image = _least_isomorphism(adj, kept, [classes[c] for c in colors])
+    if image is None:
+        return False
+    n = len(adj)
+    if sorted(image) != list(range(n)) or any(
+        (adj[u] >> v & 1) != (kept[image[u]] >> image[v] & 1)
+        for u in range(n)
+        for v in range(u + 1, n)
+    ):
+        raise ConsistencyError(f"isomorphism search returned a non-isomorphism {image!r}")
+    return True
+
+
 def enumerate_sc(n: int) -> list[Graph]:
     """One representative per isomorphism class of self-complementary graphs.
 
     Supported sizes are ``ENUMERATION_SIZES``: 1, 4, 5, 8, 9, 12 and 13;
     any other n raises ``ValueError``, the one size rule that the CLI's
     ``enum`` and ``verify-theorem`` report.  On one Xeon core n = 9 takes
-    about 0.015 s, n = 12 about 0.65 s and n = 13 about 5.3 s.
+    about 0.004 s, n = 12 about 0.5 s and n = 13 about 4.2-4.7 s, most of
+    it the flood; the searches run 18, 270 and 1,784 times, and 0, 38 and
+    368 of them find no map, where distinct classes share a key.
     Output order is deterministic: cycle types largest-first, orbit choice
     bits counting up, first representative of each class kept.
 
     Choice bits are swept upward.  The first unvisited one is the least of
     its orbit under the normaliser of <sigma>: the orbit is marked visited
-    and only that one assignment is built and canonicalised.  The first
-    assignment of each new class is always such a least element, so the
-    list is the one that canonicalising every assignment would give.
+    and only that one assignment is built.  The first assignment of each
+    new class is always such a least element.  A built graph is a repeat
+    iff ``_least_isomorphism`` maps it onto a kept graph with the same
+    ``_class_key``, each vertex's domain its colour class, so the list is
+    the one that canonicalising every assignment would give.
     """
     if n not in ENUMERATION_SIZES:
         raise ValueError(f"enumeration supports n in {ENUMERATION_SIZES}, got {n}")
-    seen: set[bytes] = set()
+    buckets: dict[tuple, list[tuple[Sequence[int], list[int]]]] = {}
     out: list[Graph] = []
     for cycle_type in sachs_cycle_types(n):
         sigma = permutation_with_cycle_type(n, cycle_type)
@@ -298,9 +363,10 @@ def enumerate_sc(n: int) -> list[Graph]:
                         visited[c] = 1
                         stack.append(c)
             g = sc_from_assignment(sigma, orbits, bits)
-            key = canonical_form(g)
-            if key not in seen:
-                seen.add(key)
+            key, colors, classes = _class_key(g._adj)
+            kept = buckets.setdefault(key, [])
+            if not any(_is_repeat(g._adj, colors, *k) for k in kept):
+                kept.append((g._adj, classes))
                 out.append(g)
     return out
 

@@ -3,9 +3,10 @@ from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import scminor.generators
+import scminor.graphs
 from scminor import (
     CapacityError,
     ConsistencyError,
@@ -30,7 +31,8 @@ from scminor import (
     sharp_4n_plus_1,
     write_graph6,
 )
-from scminor.generators import ENUMERATION_SIZES, _bit_action, _normaliser_generators
+from scminor.antimorphism import _least_isomorphism
+from scminor.generators import ENUMERATION_SIZES, _bit_action, _class_key, _normaliser_generators
 from conftest import reference_enumerate_sc, sc_classes
 
 
@@ -403,13 +405,16 @@ def _burnside_orbit_counts(n: int, generators, centraliser: bool = False) -> lis
     return counts
 
 
-CANONICAL_CALLS = {1: 1, 4: 1, 5: 2, 8: 17, 9: 54, 12: 952}
+# isomorphism searches per n: one per kept graph with the same
+# _class_key until a map is found; at n = 12, 38 of the 270 find none
+ISOMORPHISM_SEARCHES = {1: 0, 4: 0, 5: 0, 8: 7, 9: 18, 12: 270}
 
 
 @pytest.mark.parametrize("n", [n for n in ENUMERATION_SIZES if n <= 12])
 def test_enumerate_builds_one_assignment_per_normaliser_orbit(n, monkeypatch):
     built = Counter()
     canonicalised = 0
+    searches = 0
 
     def counting(sigma, orbits, bits):
         built[sigma.image] += 1
@@ -420,14 +425,100 @@ def test_enumerate_builds_one_assignment_per_normaliser_orbit(n, monkeypatch):
         canonicalised += 1
         return canonical_form(g)
 
+    def counting_search(adj, target, domains):
+        nonlocal searches
+        searches += 1
+        return _least_isomorphism(adj, target, domains)
+
     monkeypatch.setattr(scminor.generators, "sc_from_assignment", counting)
     monkeypatch.setattr(scminor.generators, "canonical_form", counting_canonical)
+    monkeypatch.setattr(scminor.graphs, "canonical_form", counting_canonical)
+    monkeypatch.setattr(scminor.generators, "_least_isomorphism", counting_search)
     enumerate_sc(n)
     per_type = [
         built[permutation_with_cycle_type(n, t).image] for t in sachs_cycle_types(n)
     ]
     assert per_type == _burnside_orbit_counts(n, _normaliser_generators)
-    assert canonicalised == sum(per_type) == CANONICAL_CALLS[n]
+    assert canonicalised == 0
+    assert searches == ISOMORPHISM_SEARCHES[n]
+
+
+def test_enumerate_12_gives_pairwise_non_isomorphic_graphs():
+    # the first size where distinct classes share a _class_key, so the
+    # isomorphism search, not the key, tells them apart
+    assert len({canonical_form(g) for g in sc_classes(12)}) == 720
+
+
+def test_a_map_that_fails_the_pair_check_raises_consistency_error(monkeypatch):
+    # the identity, offered as a map onto a kept graph labelled otherwise
+    monkeypatch.setattr(scminor.generators, "_least_isomorphism", lambda a, t, d: list(range(len(a))))
+    with pytest.raises(ConsistencyError, match="non-isomorphism"):
+        enumerate_sc(8)
+
+
+@st.composite
+def relabelled_graphs(draw, max_n):
+    """A graph on at most ``max_n`` vertices and a random relabelling of it."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    bits = draw(st.integers(0, (1 << len(pairs)) - 1))
+    g = Graph(n, [pair for i, pair in enumerate(pairs) if bits >> i & 1])
+    perm = draw(st.permutations(range(n)))
+    return g, Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _maps_onto(g: Graph, h: Graph, image) -> bool:
+    """Pair by pair: image is a bijection carrying edges to edges and
+    non-edges to non-edges."""
+    n = g.n
+    return sorted(image) == list(range(n)) and all(
+        g.has_edge(u, v) == h.has_edge(image[u], image[v])
+        for u in range(n)
+        for v in range(u + 1, n)
+    )
+
+
+def _search_by_class_key(g: Graph, h: Graph):
+    """The enumeration's search: None if the keys differ, else the least map
+    of g onto h with each vertex's domain its colour class in h."""
+    key_g, colors_g, _ = _class_key(g._adj)
+    key_h, _, classes_h = _class_key(h._adj)
+    if key_g != key_h:
+        return None
+    return _least_isomorphism(g._adj, h._adj, [classes_h[c] for c in colors_g])
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled_graphs(20))
+@example((Graph(0), Graph(0)))  # the empty map
+def test_isomorphism_search_maps_a_graph_onto_its_relabelling(pair):
+    g, h = pair
+    _, colors, classes = _class_key(g._adj)
+    assert classes == [sum(1 << v for v, c in enumerate(colors) if c == k) for k in range(len(classes))]
+    image = _search_by_class_key(g, h)
+    assert image is not None and _maps_onto(g, h, image)
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled_graphs(16), st.data())
+def test_isomorphism_search_after_a_degree_preserving_swap(pair, data):
+    # edges a-b and c-d become a-c and b-d: degrees stay, the class may not
+    g, h = pair
+    ends = [(a, b) for u, v in h.edges() for a, b in ((u, v), (v, u))]
+    swaps = [
+        (a, b, c, d)
+        for a, b in ends
+        for c, d in h.edges()
+        if len({a, b, c, d}) == 4 and not h.has_edge(a, c) and not h.has_edge(b, d)
+    ]
+    assume(swaps)
+    a, b, c, d = data.draw(st.sampled_from(swaps))
+    kept = set(h.edges()) - {tuple(sorted(e)) for e in ((a, b), (c, d))}
+    swapped = Graph(h.n, [*kept, (a, c), (b, d)])
+    assert sorted(map(swapped.degree, range(h.n))) == sorted(map(h.degree, range(h.n)))
+    image = _search_by_class_key(g, swapped)
+    assert (image is not None) == (canonical_form(g) == canonical_form(swapped))
+    assert image is None or _maps_onto(g, swapped, image)
 
 
 def test_centraliser_orbit_counts_by_burnside():

@@ -47,3 +47,25 @@ def test_a_bare_import_resolves_every_name_and_module_on_access():
     )
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+def test_a_name_loads_its_home_module_through_the_import_statement():
+    # python -X importtime reports only imports through __import__, so a
+    # module that importlib.import_module loads is missing from its list
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "from scminor import build_plan"],
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    modules = {
+        line.rpartition("|")[2].strip()
+        for line in run.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert {m for m in modules if m.partition(".")[0] == "scminor"} == {
+        "scminor",
+        "scminor.antimorphism",
+        "scminor.construction",
+        "scminor.graphs",
+    }
